@@ -1,0 +1,9 @@
+"""Lets the benchmark's own tests import prismres from src and the benchmark
+modules from this directory:  python3 -m pytest bench -q"""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, HERE)
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
