@@ -42,7 +42,6 @@ from .network import (
     four_corner_laplacian,
     kirchhoff_oracle,
     kron_reduce,
-    laplacian,
     matrix_tree_count,
     network_from_json,
     network_to_json,
@@ -76,7 +75,7 @@ __all__ = [
     "ladder_terminal_resistances",
     "DisconnectedNetworkError", "EightTerminalStencil", "Network",
     "SingularMatrixError", "SymMatrix", "build_ladder", "build_prism",
-    "four_corner_laplacian", "kirchhoff_oracle", "kron_reduce", "laplacian",
+    "four_corner_laplacian", "kirchhoff_oracle", "kron_reduce",
     "matrix_tree_count", "network_from_json", "network_to_json",
     "pinv_laplacian", "resistance_oracle",
     "PrismSpectrum", "PrismVertex", "csc2_sum_check", "kirchhoff_closed",

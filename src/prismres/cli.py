@@ -10,7 +10,8 @@ Subcommands:
 Results go to stdout and are byte-deterministic for fixed inputs; a trailing
 "# command=... elapsed_ms=..." record goes to stderr so timing never perturbs
 stdout.  Exit codes: 0 success, 1 honest negative (failed verification,
-disconnected network), 2 malformed input.
+disconnected network, a float network binary64 cannot factor), 2 malformed
+input.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ import json
 import os
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 from .network import (
     DisconnectedNetworkError,
     Network,
+    SingularMatrixError,
     build_prism,
     kirchhoff_oracle,
     kron_reduce,
@@ -41,9 +44,15 @@ ORACLE_CAP_ENV = "PRISMRES_ORACLE_CAP"
 
 
 def _fmt(value) -> str:
-    """Deterministic scalar rendering: exact rationals as p/q, floats shortest."""
-    if isinstance(value, Fraction):
-        return str(value)
+    """Deterministic scalar rendering: exact rationals as p/q, floats shortest.
+
+    Integers are written through Decimal, which is exact and, unlike str(),
+    not subject to the interpreter's limit on converting long integers.
+    """
+    if isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+        text = str(Decimal(value.numerator))
+        return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
     return repr(float(value))
 
 
@@ -95,7 +104,7 @@ def _cmd_table(args) -> int:
         doc = {
             "n": args.n,
             "vertices": labels,
-            "resistances": [[str(x) for x in row] for row in rows],
+            "resistances": [[_fmt(x) for x in row] for row in rows],
         }
         text = json.dumps(doc, indent=2) + "\n"
     if args.output:
@@ -132,8 +141,7 @@ def _cmd_net(args) -> int:
         else:
             sys.stdout.write(text)
     elif args.net_command == "spantrees":
-        count = matrix_tree_count(net)
-        print(count if isinstance(count, int) else str(count))
+        print(_fmt(matrix_tree_count(net)))
     else:
         print(_fmt(kirchhoff_oracle(net)))
     return 0
@@ -212,7 +220,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         return args.handler(args)
-    except DisconnectedNetworkError as exc:
+    except (DisconnectedNetworkError, SingularMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, TypeError, OSError) as exc:

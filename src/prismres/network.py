@@ -3,134 +3,46 @@
 A Network is a weighted multigraph (parallel edges and self-loops allowed)
 whose edges carry positive resistances, either all exact rationals or all
 binary64 floats.  Everything observable about it flows through the graph
-Laplacian: effective resistances and the Kirchhoff index via the Moore-Penrose
-pseudoinverse, spanning-tree counts via a cofactor, and reductions onto a
-terminal set via the Schur complement.
+Laplacian L.  Whether the graph is connected is read off L's edges by
+union-find, never from a pivot.  Once it is, L with one vertex grounded (its
+row and column deleted) is positive definite, and one elimination without
+pivoting answers every question: exact networks scale L to an integer matrix
+and run fraction-free (Bareiss) elimination, float networks factor with
+Cholesky.
+
+* Effective resistances and the Kirchhoff index come from the Moore-Penrose
+  pseudoinverse L+ = P G P, where G is the inverse of the grounded block,
+  padded with zeros at the ground, and P = I - J/N.
+* Spanning-tree counts are the determinant of the grounded block.
+* Reductions onto a terminal set stop the elimination after the interior
+  pivots: what is left is the Schur complement, the Kron-reduced Laplacian.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lapack
 
 from .exact import BigRat, to_rational
 from .ladder import DeltaEdges, ladder_delta_edges
 
-# Relative threshold under which a float pivot is declared singular.
-FLOAT_PIVOT_TOL = 1e-12
-# Absolute magnitude under which a float Schur off-diagonal is an open circuit.
-SCHUR_DROP_TOL = 1e-12
-
 
 class DisconnectedNetworkError(ValueError):
-    """An operation needed a connected network and the Laplacian said otherwise."""
+    """An operation needed a connected network and the graph is not connected."""
 
 
 class SingularMatrixError(ArithmeticError):
-    """A matrix that was expected to be invertible is (numerically) singular."""
+    """A float Cholesky factorization failed on a connected network too
+    ill-conditioned (or too ill-scaled) for binary64."""
 
 
 # ---------------------------------------------------------------------------
 # dense symmetric matrices, exact or float
-
-
-def _shadow_abs(value: Fraction) -> float:
-    """Float magnitude of an exact rational, for pivot ranking only."""
-    try:
-        return abs(float(value))
-    except OverflowError:
-        return math.inf
-
-
-def _invert_exact(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Gauss-Jordan inverse over Fraction, pivoting on the float shadow.
-
-    The shadow only ranks candidate pivots; arithmetic stays exact.  Ranking
-    by magnitude keeps intermediate numerators and denominators from blowing
-    up on the structured matrices this package produces.
-    """
-    n = len(rows)
-    zero = Fraction(0)
-    one = Fraction(1)
-    aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: _shadow_abs(aug[r][col]))
-        if aug[pivot][col] == 0:
-            pivot = next((r for r in range(col, n) if aug[r][col] != 0), -1)
-            if pivot < 0:
-                raise SingularMatrixError(f"exact matrix is singular (column {col})")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = one / aug[col][col]
-        aug[col] = [x * scale for x in aug[col]]
-        prow = aug[col]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], prow)]
-    return [row[n:] for row in aug]
-
-
-def _invert_float(arr: np.ndarray) -> np.ndarray:
-    """LU inverse of a float matrix, rejecting numerically singular input."""
-    scale = float(np.abs(arr).max()) if arr.size else 0.0
-    with warnings.catch_warnings():
-        # scipy warns on exactly singular input; the diagonal gate below decides
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(arr)
-    diag = np.abs(np.diag(lu))
-    if not np.isfinite(lu).all() or diag.min() <= FLOAT_PIVOT_TOL * scale:
-        raise SingularMatrixError("float matrix is numerically singular")
-    return lu_solve((lu, piv), np.eye(arr.shape[0]))
-
-
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss elimination)."""
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), -1)
-            if swap < 0:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[-1][-1]
-
-
-def _rational_det(m: list[list[Fraction]]) -> Fraction:
-    """Determinant over Fraction by triangularization."""
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), -1)
-        if pivot < 0:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        p = m[col][col]
-        det *= p
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] / p
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
 
 
 class SymMatrix:
@@ -164,13 +76,6 @@ class SymMatrix:
             elif not np.array_equal(arr, arr.T):
                 raise ValueError("matrix is not symmetric")
         self._m = arr
-
-    @classmethod
-    def identity(cls, order: int, exact: bool = True) -> "SymMatrix":
-        if exact:
-            one, zero = Fraction(1), Fraction(0)
-            return cls([[one if i == j else zero for j in range(order)] for i in range(order)], check=False)
-        return cls(np.eye(order), check=False)
 
     @property
     def order(self) -> int:
@@ -207,56 +112,116 @@ class SymMatrix:
     def row_sums(self) -> list:
         return [sum(row) for row in self._m]
 
-    def inverse(self) -> "SymMatrix":
-        """Exact or numeric inverse; SingularMatrixError if not invertible."""
-        if self.is_exact:
-            inv = _invert_exact([list(row) for row in self._m])
-            return SymMatrix(inv, check=False)
-        inv = _invert_float(self._m)
-        return SymMatrix((inv + inv.T) / 2.0, check=False)
-
-    def determinant(self):
-        if not self.is_exact:
-            return float(np.linalg.det(self._m))
-        rows = [list(r) for r in self._m]
-        if all(x.denominator == 1 for row in rows for x in row):
-            return Fraction(_bareiss_det([[x.numerator for x in row] for row in rows]))
-        return _rational_det(rows)
-
-    def principal_minor(self, drop: int) -> "SymMatrix":
-        """The matrix with row and column `drop` deleted."""
-        keep = [i for i in range(self.order) if i != drop]
-        return SymMatrix(self._m[np.ix_(keep, keep)], check=False)
-
     def eigenvalues(self) -> np.ndarray:
         """Float spectrum, ascending (symmetric eigensolver)."""
         return np.linalg.eigvalsh(self.to_float().entries)
 
 
+# ---------------------------------------------------------------------------
+# the grounded elimination kernel
+
+
+def _components(lap: SymMatrix) -> list[int]:
+    """Component representative of every vertex: union-find over L's edges.
+
+    Every edge of positive, finite conductance leaves a nonzero off-diagonal
+    entry in the Laplacian, so its nonzero pattern is the graph (loops and
+    parallel edges aside, which do not change connectivity).
+    """
+    parent = list(range(lap.order))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    rows, cols = np.nonzero(lap.entries)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        parent[find(i)] = find(j)
+    return [find(x) for x in range(lap.order)]
+
+
+def _integer_form(lap: SymMatrix) -> tuple[list[list[int]], int]:
+    """(D*L, D) for an exact Laplacian, D the lcm of its entries' denominators."""
+    d = math.lcm(*(x.denominator for x in lap.entries.flat))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in lap.entries], d
+
+
+def _schur(a: list[list[int]], k: int) -> tuple[list[list[int]], int]:
+    """Fraction-free (Bareiss) elimination of the first k pivots of an integer matrix.
+
+    Returns the trailing block T and the last pivot p, which is the
+    determinant of the leading k x k block.  By Sylvester's identity T / p is
+    the Schur complement of that block, so every division below is exact.
+    There is no pivoting: callers pass matrices whose leading k x k block is
+    positive definite, so every pivot is positive.
+    """
+    a = [list(row) for row in a]
+    prev = 1
+    for s in range(k):
+        pivot = a[s][s]
+        top = a[s][s + 1:]
+        for row in a[s + 1:]:
+            f = row[s]
+            if f:
+                row[s + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[s + 1:], top)]
+            else:
+                row[s + 1:] = [pivot * x // prev for x in row[s + 1:]]
+        prev = pivot
+    return [row[k:] for row in a[k:]], prev
+
+
+def _cholesky(block: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of a positive definite float block."""
+    factor, info = lapack.dpotrf(block)
+    if info != 0 or not np.isfinite(factor).all():
+        raise SingularMatrixError("binary64 Cholesky factorization failed: the conductances are "
+                                  "too far apart or too large for floats; use exact resistances")
+    return factor
+
+
 def pinv_laplacian(lap: SymMatrix) -> SymMatrix:
     """Moore-Penrose pseudoinverse of a connected network's Laplacian.
 
-    Uses the rank-one shift (L - J/N)^{-1} + J/N with J the all-ones matrix,
-    valid because the Laplacian's kernel is spanned by the ones vector.  A
-    disconnected network makes the shifted matrix singular, which is how
-    disconnection is detected and reported.
+    Grounds vertex 0 and inverts the remaining block L0: exact Laplacians read
+    -(D*L0)^-1 off the Schur complement of the bordered matrix
+    [[D*L0, I], [I, 0]], float ones use Cholesky.  Then L+ = P G P, with G the
+    inverse padded with zeros at the ground and P = I - J/N.  Raises
+    DisconnectedNetworkError when the graph of `lap` is not connected.  The
+    float error does not depend on the overall scale of the conductances; it
+    grows like machine epsilon times the ratio of the largest to the smallest.
     """
     n = lap.order
+    if len(set(_components(lap))) > 1:
+        raise DisconnectedNetworkError("network is disconnected")
+    m = n - 1
     if lap.is_exact:
-        shift = Fraction(1, n)
-        shifted = [[lap[i, j] - shift for j in range(n)] for i in range(n)]
-        try:
-            inv = _invert_exact(shifted)
-        except SingularMatrixError:
-            raise DisconnectedNetworkError("network is disconnected") from None
-        return SymMatrix([[x + shift for x in row] for row in inv], check=False)
-    ones = np.full((n, n), 1.0 / n)
-    try:
-        inv = _invert_float(lap.entries - ones)
-    except SingularMatrixError:
-        raise DisconnectedNetworkError("network is disconnected") from None
-    out = inv + ones
-    return SymMatrix((out + out.T) / 2.0, check=False)
+        a, d = _integer_form(lap)
+        eye = [[int(i == j) for j in range(m)] for i in range(m)]
+        bordered = [row[1:] + e for row, e in zip(a[1:], eye)] + [e + [0] * m for e in eye]
+        t, det = _schur(bordered, m)
+        # L0^-1 = -d T / det.  Pad T at the ground and centre it in integers:
+        # n^2 (P T P)_ij = n^2 T_ij - n (s_i + s_j) + S, with s the row sums
+        # of the symmetric T and S their total.
+        t = [[0] * n] + [[0] + row for row in t]
+        sums = [sum(row) for row in t]
+        total = sum(sums)
+        scale = det * n * n
+        return SymMatrix([[Fraction(-d * (n * n * x - n * (si + sj) + total), scale)
+                           for x, sj in zip(row, sums)] for row, si in zip(t, sums)], check=False)
+    g = np.zeros((n, n))
+    if m:
+        inv, _ = lapack.dpotri(_cholesky(lap.entries[1:, 1:]))
+        # potri fills the upper triangle; the lower one stays zero
+        full = inv + inv.T
+        np.fill_diagonal(full, inv.diagonal())
+        g[1:, 1:] = full
+    # centring rows, then columns, twice keeps the row sums near rounding level
+    for _ in range(2):
+        g -= g.mean(axis=1, keepdims=True)
+        g -= g.mean(axis=0, keepdims=True)
+    return SymMatrix((g + g.T) / 2.0, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +234,8 @@ class Network:
     Vertices are string labels; edges are (u, v, r) triples and may repeat
     (parallel resistors) or loop (u == v; loops carry no current and are
     ignored by the Laplacian).  A single float resistance puts the whole
-    network in float mode; otherwise resistances are exact rationals.
+    network in float mode; otherwise resistances are exact rationals.  Every
+    resistance and its conductance 1/r must be finite and positive.
     """
 
     __slots__ = ("_vertices", "_edges", "_index", "_exact", "_lap", "_pinv")
@@ -293,6 +259,9 @@ class Network:
             r = to_rational(r) if self._exact else float(r)
             if not r > 0:
                 raise ValueError(f"edge ({u!r}, {v!r}) must have positive resistance, got {r}")
+            if not self._exact and not (math.isfinite(r) and math.isfinite(1.0 / r)):
+                raise ValueError(f"edge ({u!r}, {v!r}) must have a finite resistance "
+                                 f"and a finite conductance, got r = {r}")
             indexed.append((self._index[u], self._index[v], r))
         self._edges = tuple(indexed)
         self._lap: SymMatrix | None = None
@@ -362,22 +331,15 @@ class Network:
                        [(self._vertices[iu], self._vertices[iv], float(r)) for iu, iv, r in self._edges])
 
 
-def laplacian(net: Network) -> SymMatrix:
-    return net.laplacian()
-
-
 def resistance_oracle(net: Network, u: str, v: str):
     """Effective resistance between two vertices, from the pseudoinverse.
 
     r(u, v) = L+[u,u] - 2 L+[u,v] + L+[v,v]; exact Fraction on exact networks,
-    float otherwise.  Raises DisconnectedNetworkError when u and v cannot see
-    each other (any disconnection, in fact, since the pseudoinverse needs a
-    connected network).
+    float otherwise.  Raises DisconnectedNetworkError when the network is not
+    connected, since the pseudoinverse needs a connected network.
     """
     i = net.vertex_index(u)
     j = net.vertex_index(v)
-    if i == j:
-        return Fraction(0) if net.is_exact else 0.0
     lp = net.pseudoinverse()
     return lp[i, i] - 2 * lp[i, j] + lp[j, j]
 
@@ -390,30 +352,37 @@ def kirchhoff_oracle(net: Network):
 
 
 def matrix_tree_count(net: Network):
-    """Spanning-tree count via a Laplacian cofactor (matrix-tree theorem).
+    """Spanning-tree count: the determinant of the grounded Laplacian (matrix-tree theorem).
 
     Exact networks only.  Unit resistances give the plain spanning-tree count;
     general rational resistances give the conductance-weighted count (sum over
-    spanning trees of the product of edge conductances).  Returns an int when
-    the value is integral, else a Fraction.  Disconnected networks count 0.
+    spanning trees of the product of edge conductances), det(D*L0) / D^(N-1).
+    Returns an int when the value is integral, else a Fraction.  Disconnected
+    networks count 0.
     """
     if not net.is_exact:
         raise TypeError("matrix-tree counting requires an exact network")
-    if net.vertex_count == 1:
-        return 1
-    det = net.laplacian().principal_minor(0).determinant()
-    return det.numerator if det.denominator == 1 else det
+    lap = net.laplacian()
+    if len(set(_components(lap))) > 1:
+        return 0
+    a, d = _integer_form(lap)
+    m = net.vertex_count - 1
+    _, det = _schur([row[1:] for row in a[1:]], m)
+    count = Fraction(det, d ** m)
+    return count.numerator if count.denominator == 1 else count
 
 
 def kron_reduce(net: Network, keep: Sequence[str]) -> Network:
     """Collapse a network onto `keep`, preserving their pairwise resistances.
 
-    Takes the Schur complement of the Laplacian onto the kept rows and reads
-    the surviving edges off its off-diagonal entries.  Kept vertices appear in
-    the order given.  Exact zeros (and float magnitudes below SCHUR_DROP_TOL)
-    are open circuits and produce no edge.  Interior vertices with no path to
-    any kept vertex make the interior block singular, which raises
-    DisconnectedNetworkError.
+    Eliminates the interior vertices first (exact: `_schur` on D*L, float:
+    Cholesky of the interior block) and reads the surviving edges off the
+    Schur complement onto the kept vertices, in the order given.  An entry is
+    exactly zero when no path joins its two vertices through the interior,
+    and that pair gets no edge.  Any other entry is nonzero, and in float
+    mode it is a sum of terms of one sign, so it cannot round to zero.  Raises
+    DisconnectedNetworkError when some interior vertex has no path to any
+    kept vertex.
     """
     keep = list(keep)
     if not keep:
@@ -422,60 +391,31 @@ def kron_reduce(net: Network, keep: Sequence[str]) -> Network:
     if len(set(kidx)) != len(kidx):
         raise ValueError("keep contains duplicate vertices")
 
-    lap = net.laplacian().entries
+    lap = net.laplacian()
+    roots = _components(lap)
+    if not set(roots) <= {roots[k] for k in kidx}:
+        raise DisconnectedNetworkError("interior vertices have no path to any kept vertex")
     kept = set(kidx)
-    interior = [i for i in range(net.vertex_count) if i not in kept]
+    order = [i for i in range(net.vertex_count) if i not in kept] + kidx
+    inner = net.vertex_count - len(kidx)
     if net.is_exact:
-        if interior:
-            inner = [[lap[r][c] for c in interior] for r in interior]
-            try:
-                inv = np.array(_invert_exact(inner), dtype=object)
-            except SingularMatrixError:
-                raise DisconnectedNetworkError(
-                    "interior vertices have no path to any kept vertex") from None
-            ki = lap[np.ix_(kidx, interior)]
-            schur = lap[np.ix_(kidx, kidx)] - ki @ inv @ ki.T
-        else:
-            schur = lap[np.ix_(kidx, kidx)]
-        if any(sum(row) != 0 for row in schur):
-            raise AssertionError("Schur complement lost the zero row sums")
-
-        def surviving(i: int, j: int):
-            g = -schur[i, j]
-            if g == 0:
-                return None
-            if g < 0:
-                raise AssertionError("Schur complement has a positive off-diagonal")
-            return 1 / g
+        a, d = _integer_form(lap)
+        t, pivot = _schur([[a[i][j] for j in order] for i in order], inner)
+        conductance = [[Fraction(-x, pivot * d) for x in row] for row in t]
     else:
-        kk = lap[np.ix_(kidx, kidx)]
-        if interior:
-            inner = lap[np.ix_(interior, interior)]
-            try:
-                inv = _invert_float(inner)
-            except SingularMatrixError:
-                raise DisconnectedNetworkError(
-                    "interior vertices have no path to any kept vertex") from None
-            ki = lap[np.ix_(kidx, interior)]
-            schur = kk - ki @ inv @ ki.T
-            schur = (schur + schur.T) / 2.0
-        else:
-            schur = kk
-
-        def surviving(i: int, j: int):
-            g = -schur[i, j]
-            if abs(g) < SCHUR_DROP_TOL:
-                return None
-            if g < 0:
-                raise AssertionError("Schur complement has a positive off-diagonal")
-            return 1.0 / g
+        a = lap.entries[np.ix_(order, order)]
+        schur = a[inner:, inner:]
+        if inner:
+            solved, _ = lapack.dpotrs(_cholesky(a[:inner, :inner]), a[:inner, inner:])
+            schur = schur - a[inner:, :inner] @ solved
+        conductance = -(schur + schur.T) / 2.0
 
     edges = []
-    for i in range(len(kidx)):
-        for j in range(i + 1, len(kidx)):
-            r = surviving(i, j)
-            if r is not None:
-                edges.append((keep[i], keep[j], r))
+    for i in range(len(keep)):
+        for j in range(i + 1, len(keep)):
+            g = conductance[i][j]
+            if g != 0:
+                edges.append((keep[i], keep[j], 1 / g))
     return Network(keep, edges)
 
 

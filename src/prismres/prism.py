@@ -289,7 +289,9 @@ def csc2_sum_check(n: int, rel_tol: float = 1e-9) -> bool:
 def resistance_table(n: int, mode: str = "exact") -> list[list]:
     """Full 2n x 2n matrix of pairwise resistances, rows ordered p1..pn, q1..qn.
 
-    Only the 2n distinct base values are evaluated; the rest is symmetry.
+    Only the 2n distinct base values are evaluated; the rest is symmetry:
+    row p_a is row p1 with each half rotated right by a - 1, and row q_a is
+    row q1 rotated the same way.
     """
     if n < 1:
         raise ValueError(f"prism index must be positive, got {n}")
@@ -297,16 +299,11 @@ def resistance_table(n: int, mode: str = "exact") -> list[list]:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     pp = [prism_resistance_base(n, i, "pp", mode) for i in range(1, n + 1)]
     pq = [prism_resistance_base(n, i, "pq", mode) for i in range(1, n + 1)]
-    zero = Fraction(0) if mode == "exact" else 0.0
-
-    def entry(a: int, b: int):
-        ring_a, pos_a = divmod(a, n)
-        ring_b, pos_b = divmod(b, n)
-        if ring_a == ring_b:
-            return pp[(pos_b - pos_a) % n]
-        if ring_a == 0:
-            return pq[(pos_b - pos_a) % n]
-        return pq[(pos_a - pos_b) % n]
-
-    size = 2 * n
-    return [[zero if a == b else entry(a, b) for b in range(size)] for a in range(size)]
+    pp[0] = Fraction(0) if mode == "exact" else 0.0  # the diagonal
+    qp = pq[:1] + pq[:0:-1]  # r(q1, p_b) is pq at offset 1 - b
+    rows = []
+    for left, right in ((pp, pq), (qp, pp)):
+        for a in range(n):
+            k = (n - a) % n
+            rows.append(left[k:] + left[:k] + right[k:] + right[:k])
+    return rows

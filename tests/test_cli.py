@@ -1,14 +1,16 @@
 """CLI contract: outputs, exit codes, determinism."""
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from prismres.cli import main
 from prismres.ladder import ladder_terminal_resistances
 from prismres.network import build_prism, network_from_json, network_to_json, resistance_oracle
-from prismres.prism import prism_resistance, resistance_table
+from prismres.prism import kirchhoff_closed, prism_resistance, resistance_table
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +73,15 @@ def test_resistance_rejects_bad_input(capsys):
 def test_kirchhoff_closed_is_exact(capsys):
     assert run_cli(capsys, "kirchhoff", "2")[:2] == (0, "11/3\n")
     assert run_cli(capsys, "kirchhoff", "9")[:2] == (0, "44193/265\n")
+
+
+def test_kirchhoff_prints_past_the_int_str_limit(capsys):
+    code, out, _ = run_cli(capsys, "kirchhoff", "20000")
+    assert code == 0
+    num, den = out.strip().split("/")
+    assert len(num) > 4300
+    want = kirchhoff_closed(20000)
+    assert (int(Decimal(num)), int(Decimal(den))) == (want.numerator, want.denominator)
 
 
 def test_kirchhoff_float_methods(capsys):
@@ -228,6 +239,19 @@ def test_net_disconnected_exits_one(capsys, tmp_path):
     assert "disconnected" in err
 
 
+def test_net_unfactorable_float_network_exits_one(capsys, tmp_path):
+    # two parallel 1e-308 ohm edges overflow the conductance sum to inf
+    doc = {"vertices": ["a", "b", "c"],
+           "edges": [{"u": "a", "v": "b", "r": 1e-308}, {"u": "a", "v": "b", "r": 1e-308},
+                     {"u": "b", "v": "c", "r": 1.0}]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(over="ignore"):
+        code, out, err = run_cli(capsys, "net", "resistance", str(path), "a", "c")
+    assert (code, out) == (1, "")
+    assert "Cholesky" in err
+
+
 def test_net_malformed_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -238,6 +262,15 @@ def test_net_malformed_exits_two(capsys, tmp_path):
     assert run_cli(capsys, "net", "kirchhoff", str(schema))[0] == 2
 
     assert run_cli(capsys, "net", "resistance", str(tmp_path / "nope.json"), "a", "b")[0] == 2
+
+
+def test_net_rejects_non_finite_resistance(capsys, tmp_path):
+    path = tmp_path / "r.json"
+    for r in ("Infinity", "NaN", "1e-320"):
+        path.write_text('{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "r": %s}]}' % r)
+        code, out, err = run_cli(capsys, "net", "resistance", str(path), "a", "b")
+        assert (code, out) == (2, ""), r
+        assert "edge ('a', 'b')" in err, r
 
 
 def test_net_reduce_unknown_keep(capsys, triangle_file):

@@ -1,5 +1,6 @@
 """The multigraph network type and its linear-algebra oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from prismres.network import (
     four_corner_laplacian,
     kirchhoff_oracle,
     kron_reduce,
-    laplacian,
     matrix_tree_count,
     network_from_json,
     network_to_json,
@@ -88,6 +88,12 @@ def test_network_validation():
         Network([("a",)], [])
 
 
+def test_network_rejects_non_finite_resistance():
+    for r in (math.inf, math.nan, 1e-320):  # 1/1e-320 overflows
+        with pytest.raises(ValueError, match=r"edge \('a', 'b'\)"):
+            Network(["a", "b"], [("a", "b", 1.0), ("a", "b", r)])
+
+
 def test_mode_detection():
     assert Network(["a", "b"], [("a", "b", Fraction(1, 2))]).is_exact
     assert not Network(["a", "b"], [("a", "b", 0.5)]).is_exact
@@ -109,7 +115,7 @@ def test_to_float_shares_topology():
 
 def test_laplacian_single_edge():
     net = Network(["a", "b"], [("a", "b", 1)])
-    assert laplacian(net) == SymMatrix([[1, -1], [-1, 1]])
+    assert net.laplacian() == SymMatrix([[1, -1], [-1, 1]])
 
 
 def test_laplacian_ignores_loops():
@@ -159,36 +165,6 @@ def test_sym_matrix_rejects_bad_shapes():
     SymMatrix([[1, 2], [3, 4]], check=False)  # caller takes responsibility
 
 
-def test_sym_matrix_inverse_exact():
-    m = SymMatrix([[2, 1], [1, 2]])
-    inv = m.inverse()
-    assert inv == SymMatrix([[Fraction(2, 3), Fraction(-1, 3)],
-                             [Fraction(-1, 3), Fraction(2, 3)]])
-    ident = m.entries @ inv.entries
-    assert ident[0, 0] == 1 and ident[0, 1] == 0
-
-
-def test_sym_matrix_inverse_singular():
-    with pytest.raises(SingularMatrixError):
-        SymMatrix([[1, 1], [1, 1]]).inverse()
-    with pytest.raises(SingularMatrixError):
-        SymMatrix([[1.0, 1.0], [1.0, 1.0]]).inverse()
-
-
-def test_sym_matrix_determinant():
-    assert SymMatrix([[2, 1], [1, 2]]).determinant() == 3
-    assert SymMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]).determinant() == Fraction(1, 6)
-    assert abs(SymMatrix([[2.0, 1.0], [1.0, 2.0]]).determinant() - 3.0) < 1e-12
-    assert SymMatrix([[1, 1], [1, 1]]).determinant() == 0
-
-
-def test_sym_matrix_minor_and_identity():
-    m = SymMatrix([[1, 2, 0], [2, 5, 0], [0, 0, 9]])
-    assert m.principal_minor(2) == SymMatrix([[1, 2], [2, 5]])
-    assert SymMatrix.identity(3)[1, 1] == 1
-    assert not SymMatrix.identity(2, exact=False).is_exact
-
-
 def test_sym_matrix_eigenvalues_sorted():
     eig = SymMatrix([[2, -1], [-1, 2]]).eigenvalues()
     assert np.allclose(eig, [1.0, 3.0])
@@ -234,6 +210,15 @@ def test_pinv_disconnected():
         two.to_float().pseudoinverse()
     with pytest.raises(DisconnectedNetworkError):
         resistance_oracle(two, "a", "c")
+    with pytest.raises(DisconnectedNetworkError):
+        resistance_oracle(two, "a", "a")
+
+
+def test_pinv_float_overflow_is_singular_not_disconnected():
+    # two parallel 1e-308 ohm edges overflow the conductance sum to inf
+    net = Network(list("abc"), [("a", "b", 1e-308), ("a", "b", 1e-308), ("b", "c", 1.0)])
+    with np.errstate(over="ignore"), pytest.raises(SingularMatrixError):
+        net.pseudoinverse()
 
 
 # -- resistance and Kirchhoff oracles ------------------------------------
@@ -383,6 +368,11 @@ def test_kron_floating_interior_rejected():
         kron_reduce(net, ["a", "b"])  # c has no path to the kept set
     with pytest.raises(DisconnectedNetworkError):
         kron_reduce(net.to_float(), ["a", "b"])
+    # two components, each holding a kept vertex, reduce to two isolated ones
+    split = Network(list("abcd"), [("a", "b", 1), ("c", "d", 1)])
+    for mode in (split, split.to_float()):
+        reduced = kron_reduce(mode, ["a", "c"])
+        assert reduced.vertices == ("a", "c") and reduced.edge_count == 0
 
 
 def test_kron_validates_keep(prisms):
@@ -392,6 +382,67 @@ def test_kron_validates_keep(prisms):
         kron_reduce(prisms(3), ["p1", "p1"])
     with pytest.raises(ValueError):
         kron_reduce(prisms(3), ["p1", "nope"])
+
+
+# -- scale: the graph decides connectivity, at any magnitude --------------
+
+
+def _path(*rs) -> Network:
+    labels = [f"v{k}" for k in range(len(rs) + 1)]
+    return Network(labels, [(labels[k], labels[k + 1], r) for k, r in enumerate(rs)])
+
+
+def test_float_path_of_huge_resistors_is_connected():
+    assert abs(resistance_oracle(_path(1e13, 1e13), "v0", "v2") - 2e13) <= 1e-12 * 2e13
+
+
+def test_float_mixed_magnitude_path_is_connected():
+    want = 1e7 + 1e-7
+    assert abs(resistance_oracle(_path(1e-7, 1e7), "v0", "v2") - want) <= 1e-12 * want
+
+
+def test_float_kron_keeps_huge_edges():
+    (u, v, r), = kron_reduce(_path(1e12, 1e12), ["v0", "v2"]).edges
+    assert (u, v) == ("v0", "v2")
+    assert abs(r - 2e12) <= 1e-12 * 2e12
+
+
+def test_float_scaled_prism_is_accurate(prisms):
+    net = prisms(20)
+    big = Network(net.vertices, [(u, v, 1e12 * float(r)) for u, v, r in net.edges])
+    want = 1e12 * float(resistance_oracle(net, "p1", "q7"))
+    assert abs(resistance_oracle(big, "p1", "q7") - want) <= 1e-12 * want
+
+
+def test_scale_invariance_randomized():
+    rng = random.Random(31)
+    for _ in range(6):
+        net = _random_connected(rng, rng.randrange(3, 9))
+        labels = net.vertices
+        keep = rng.sample(labels, 3)
+        pairs = [(a, b) for k, a in enumerate(labels) for b in labels[k + 1:]]
+        r = {p: resistance_oracle(net, *p) for p in pairs}
+        kirchhoff = kirchhoff_oracle(net)
+        kron = list(kron_reduce(net, keep).edges)
+
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        scaled = Network(labels, [(u, v, c * x) for u, v, x in net.edges])
+        assert all(resistance_oracle(scaled, *p) == c * r[p] for p in pairs)
+        assert kirchhoff_oracle(scaled) == c * kirchhoff
+        assert list(kron_reduce(scaled, keep).edges) == [(u, v, c * x) for u, v, x in kron]
+        assert matrix_tree_count(scaled) == matrix_tree_count(net) / c ** (len(labels) - 1)
+
+        def close(got, want: Fraction, s: float) -> bool:
+            return abs(got - s * float(want)) <= 1e-12 * s * float(want)
+
+        for k in range(-6, 13):
+            s = 10.0 ** k
+            fscaled = Network(labels, [(u, v, s * float(x)) for u, v, x in net.edges])
+            assert all(close(resistance_oracle(fscaled, *p), r[p], s) for p in pairs), (k, labels)
+            assert close(kirchhoff_oracle(fscaled), kirchhoff, s), k
+            fkron = list(kron_reduce(fscaled, keep).edges)
+            assert [e[:2] for e in fkron] == [e[:2] for e in kron], k
+            assert all(close(fx, x, s) for (_, _, fx), (_, _, x) in zip(fkron, kron)), k
 
 
 # -- the eight-terminal stencil and four-corner assembly ------------------

@@ -277,13 +277,14 @@ def test_resistance_table_n2():
 
 
 def test_resistance_table_matches_resolver():
-    n = 5
-    table = resistance_table(n)
-    labels = [f"p{i}" for i in range(1, n + 1)] + [f"q{i}" for i in range(1, n + 1)]
-    for a in range(2 * n):
-        for b in range(2 * n):
-            assert table[a][b] == prism_resistance(n, labels[a], labels[b])
-            assert table[a][b] == table[b][a]
+    for n in range(1, 13):
+        labels = [f"p{i}" for i in range(1, n + 1)] + [f"q{i}" for i in range(1, n + 1)]
+        for mode in ("exact", "float"):
+            table = resistance_table(n, mode)
+            for a in range(2 * n):
+                for b in range(2 * n):
+                    assert table[a][b] == prism_resistance(n, labels[a], labels[b], mode), (n, mode)
+                    assert table[a][b] == table[b][a]
 
 
 def test_resistance_table_float_mode():
