@@ -9,9 +9,11 @@ Subcommands:
 
 Results go to stdout and are byte-deterministic for fixed inputs; a trailing
 "# command=... elapsed_ms=..." record goes to stderr so timing never perturbs
-stdout.  Exit codes: 0 success, 1 honest negative (failed verification,
-disconnected network, a float network binary64 cannot factor), 2 malformed
-input.
+stdout.  Run as a program, the elapsed time starts with the import of the
+prismres package, so it counts imports and parsing; called in-process
+through main(), it starts with the call.  Exit codes: 0 success, 1 honest
+negative (failed verification, disconnected network, a float network
+binary64 cannot factor), 2 malformed input.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
+from . import _IMPORTED_AT
 from .network import (
     DisconnectedNetworkError,
     Network,
@@ -212,12 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Parse and run; returns the exit code instead of raising SystemExit."""
-    parser = build_parser()
+    return _main(argv, time.perf_counter())
+
+
+def _main(argv, start: float) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    start = time.perf_counter()
     try:
         return args.handler(args)
     except (DisconnectedNetworkError, SingularMatrixError) as exc:
@@ -232,7 +237,7 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    sys.exit(_main(None, _IMPORTED_AT))
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and the field Q(sqrt 3).
 
-Every closed form in this package lives in Q(sqrt 3); the quantities that are
-provably rational are computed in the field and then certified rational before
-they escape, so no precision is lost anywhere on the exact code paths.
+Every closed form in this package lives in Q(sqrt 3).  The field route
+computes the provably rational quantities here and certifies them rational
+before they escape, so no precision is lost; it is the independent check of
+the integer kernel (genfib.gfib) that the served closed forms use.
 """
 
 from __future__ import annotations

@@ -1,50 +1,32 @@
 """The integer sequence 0, 1, 4, 15, 56, ... and spanning-tree counts built on it.
 
 The sequence satisfies a[k+2] = 4 a[k+1] - a[k] and is the exact-integer
-backbone of every closed form in this package: its terms are (up to the
-factor 2 sqrt3) the powers of 2 - sqrt3, see gfib_closed.
+backbone of every closed form in this package: (2 + sqrt3)^k = u_k + a_k sqrt3
+with u_k = a[k+1] - 2 a[k], so its terms are (up to the factor 2 sqrt3) the
+powers of 2 - sqrt3, see gfib_closed.
 """
 
 from __future__ import annotations
 
-import threading
-from fractions import Fraction
-
-from .exact import SQRT3, Qsqrt3, TWO_MINUS_SQRT3, two_minus_sqrt3_pow
-
-
-class GenFibCache:
-    """Growable table of sequence terms, safe under concurrent readers.
-
-    Reads outside the table take the lock and extend it; reads inside the
-    table are lock-free (list append never invalidates existing slots).
-    """
-
-    def __init__(self) -> None:
-        self._terms = [0, 1]
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def term(self, n: int) -> int:
-        if n < 0:
-            raise ValueError(f"sequence index must be nonnegative, got {n}")
-        terms = self._terms
-        if n < len(terms):
-            return terms[n]
-        with self._lock:
-            while len(self._terms) <= n:
-                self._terms.append(4 * self._terms[-1] - self._terms[-2])
-        return self._terms[n]
-
-
-_CACHE = GenFibCache()
+from .exact import Qsqrt3, TWO_MINUS_SQRT3, two_minus_sqrt3_pow
 
 
 def gfib(n: int) -> int:
-    """n-th term of a[k+2] = 4 a[k+1] - a[k] with a[0] = 0, a[1] = 1."""
-    return _CACHE.term(n)
+    """n-th term of a[k+2] = 4 a[k+1] - a[k] with a[0] = 0, a[1] = 1.
+
+    Binary powering of (2 + sqrt3)^n = u + a sqrt3 over the integers, from
+    the top bit of n down: a squaring is (u, a) -> (2u^2 - 1, 2ua), which uses
+    the unit norm u^2 - 3a^2 = 1, and a set bit multiplies by 2 + sqrt3,
+    (u, a) -> (2u + 3a, u + 2a).  Nothing is stored between calls.
+    """
+    if n < 0:
+        raise ValueError(f"sequence index must be nonnegative, got {n}")
+    u, a = 1, 0
+    for bit in bin(n)[2:]:
+        u, a = 2 * u * u - 1, 2 * u * a
+        if bit == "1":
+            u, a = 2 * u + 3 * a, u + 2 * a
+    return a
 
 
 def gfib_closed(n: int) -> Qsqrt3:
@@ -68,27 +50,11 @@ def reciprocal_power_identity(n: int) -> bool:
 
 
 def prism_spanning_tree_count(n: int) -> int:
-    """Number of spanning trees of the n-prism: (n/2) * (a[2n]/a[n] - 2).
+    """Number of spanning trees of the n-prism: n (u_n - 1), u_n = a[n+1] - 2 a[n].
 
-    The expression is a ratio of integers; integrality of the result is
-    asserted rather than trusted (1, 12, 75, ... for n = 1, 2, 3).
+    Equal to the paper's (n/2) (a[2n]/a[n] - 2), because a[2n] = 2 u_n a[n]
+    (1, 12, 75, ... for n = 1, 2, 3).
     """
     if n < 1:
         raise ValueError(f"prism index must be positive, got {n}")
-    count = Fraction(n, 2) * (Fraction(gfib(2 * n), gfib(n)) - 2)
-    if count.denominator != 1:
-        raise ArithmeticError(f"spanning-tree count for n={n} is not an integer: {count}")
-    return count.numerator
-
-
-def prism_spanning_tree_count_float(n: int) -> float:
-    """Display-only float variant (n/2)((2+sqrt3)^n + (2-sqrt3)^n - 2).
-
-    Overflows (raising OverflowError) once (2+sqrt3)^n exceeds the binary64
-    range, near n = 750; use prism_spanning_tree_count for real work.
-    """
-    if n < 1:
-        raise ValueError(f"prism index must be positive, got {n}")
-    x = 2.0 - SQRT3
-    y = 2.0 + SQRT3
-    return 0.5 * n * (y ** n + x ** n - 2.0)
+    return n * (gfib(n + 1) - 2 * gfib(n) - 1)

@@ -173,8 +173,11 @@ def _schur(a: list[list[int]], k: int) -> tuple[list[list[int]], int]:
 
 
 def _cholesky(block: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor of a positive definite float block."""
-    factor, info = lapack.dpotrf(block)
+    """Upper Cholesky factor of a positive definite float block.
+
+    A Fortran-contiguous block is factored in place; any other is copied.
+    """
+    factor, info = lapack.dpotrf(block, overwrite_a=1)
     if info != 0 or not np.isfinite(factor).all():
         raise SingularMatrixError("binary64 Cholesky factorization failed: the conductances are "
                                   "too far apart or too large for floats; use exact resistances")
@@ -184,13 +187,21 @@ def _cholesky(block: np.ndarray) -> np.ndarray:
 def pinv_laplacian(lap: SymMatrix) -> SymMatrix:
     """Moore-Penrose pseudoinverse of a connected network's Laplacian.
 
-    Grounds vertex 0 and inverts the remaining block L0: exact Laplacians read
-    -(D*L0)^-1 off the Schur complement of the bordered matrix
-    [[D*L0, I], [I, 0]], float ones use Cholesky.  Then L+ = P G P, with G the
-    inverse padded with zeros at the ground and P = I - J/N.  Raises
-    DisconnectedNetworkError when the graph of `lap` is not connected.  The
-    float error does not depend on the overall scale of the conductances; it
-    grows like machine epsilon times the ratio of the largest to the smallest.
+    Grounds one vertex and inverts the remaining block L0: exact Laplacians
+    ground vertex 0 and read -(D*L0)^-1 off the Schur complement of the
+    bordered matrix [[D*L0, I], [I, 0]]; float ones ground the vertex with the
+    largest conductance sum (the lowest index among equals) and use Cholesky.
+    Then L+ = P G P, with G the inverse padded with zeros at the ground and
+    P = I - J/N.  Raises DisconnectedNetworkError when the graph of `lap` is
+    not connected.
+
+    The float error does not depend on the overall scale of the conductances.
+    It is about machine epsilon times the condition number of L0, which grows
+    with the size of the network and with the spread of its conductances.
+    Grounding the largest diagonal keeps that vertex's conductances out of
+    L0, so that a large conductance is not eliminated before the ground and
+    rounded into the small ones next to it: on a path of 1e7 and 1e-7 ohms,
+    grounding the 1e7-ohm end would cost 2% of the resistance.
     """
     n = lap.order
     if len(set(_components(lap))) > 1:
@@ -212,11 +223,22 @@ def pinv_laplacian(lap: SymMatrix) -> SymMatrix:
                            for x, sj in zip(row, sums)] for row, si in zip(t, sums)], check=False)
     g = np.zeros((n, n))
     if m:
-        inv, _ = lapack.dpotri(_cholesky(lap.entries[1:, 1:]))
+        k = int(np.argmax(lap.entries.diagonal()))
+        # (rows of L0, rows of L) before and after the ground
+        parts = ((slice(0, k), slice(0, k)), (slice(k, m), slice(k + 1, n)))
+        block = np.empty((m, m))
+        for bi, li in parts:
+            for bj, lj in parts:
+                block[bi, bj] = lap.entries[li, lj]
+        # the symmetric block's transpose is Fortran-ordered, so LAPACK
+        # factors and inverts it in place
+        inv, _ = lapack.dpotri(_cholesky(block.T), overwrite_c=1)
         # potri fills the upper triangle; the lower one stays zero
         full = inv + inv.T
         np.fill_diagonal(full, inv.diagonal())
-        g[1:, 1:] = full
+        for bi, li in parts:
+            for bj, lj in parts:
+                g[li, lj] = full[bi, bj]
     # centring rows, then columns, twice keeps the row sums near rounding level
     for _ in range(2):
         g -= g.mean(axis=1, keepdims=True)
@@ -299,21 +321,26 @@ class Network:
         return f"Network({self.vertex_count} vertices, {self.edge_count} edges, {mode})"
 
     def laplacian(self) -> SymMatrix:
-        """Weighted graph Laplacian (conductance = 1/resistance; loops ignored)."""
+        """Weighted graph Laplacian (conductance = 1/resistance; loops ignored).
+
+        A float sum of parallel conductances past the binary64 range is inf,
+        without a warning: the Cholesky factorization then reports it.
+        """
         if self._lap is None:
             n = self.vertex_count
             if self._exact:
                 rows = [[Fraction(0)] * n for _ in range(n)]
             else:
                 rows = np.zeros((n, n))
-            for iu, iv, r in self._edges:
-                if iu == iv:
-                    continue
-                g = 1 / r
-                rows[iu][iu] += g
-                rows[iv][iv] += g
-                rows[iu][iv] -= g
-                rows[iv][iu] -= g
+            with np.errstate(over="ignore"):
+                for iu, iv, r in self._edges:
+                    if iu == iv:
+                        continue
+                    g = 1 / r
+                    rows[iu][iu] += g
+                    rows[iv][iv] += g
+                    rows[iu][iv] -= g
+                    rows[iv][iu] -= g
             self._lap = SymMatrix(rows, check=False)
         return self._lap
 

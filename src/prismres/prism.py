@@ -2,9 +2,13 @@
 
 The n-prism has two vertex classes of pair: same ring (p1, p_i) and cross
 ring (p1, q_i); by its symmetries every pair reduces to one of those, with
-1 <= i <= n.  All closed forms live in Q(sqrt 3) and are certified rational
-before being returned; each also has an independent float route so the exact
-and numeric paths can check each other.
+1 <= i <= n.  The exact values are computed over the integers from
+(2 + sqrt3)^k = u_k + a_k sqrt3, with a_k = gfib(k) and u_k = a_{k+1} - 2 a_k,
+and each is built as one Fraction over a common denominator.  The field route
+(prism_resistance_base, prism_resistance_via_reduction, prism_pair_sum)
+computes the same values in Q(sqrt 3) and certifies them rational; it is kept
+as the independent check of the integer one.  Each value also has a float
+route so the exact and numeric paths can check each other.
 """
 
 from __future__ import annotations
@@ -88,6 +92,28 @@ def prism_resistance_base(n: int, i: int, kind: str, mode: str = "exact"):
     return total.as_rational()
 
 
+def _unit(k: int) -> tuple[int, int]:
+    """(u_k, a_k) with (2 + sqrt3)^k = u_k + a_k sqrt3, from two sequence terms."""
+    a = gfib(k)
+    return gfib(k + 1) - 2 * a, a
+
+
+def _exact_base(n: int, i: int, kind: str, un: int, an: int,
+                um: int, am: int, ul: int, al: int) -> BigRat:
+    """r(p1, p_i) or r(p1, q_i) over the integers, m = n - i + 1 and l = i - 1.
+
+        (m l)/(2n) + a_n/(2(u_n - 1)) -/+ [a_n (u_m + u_l)/(4(u_n - 1)) - (a_m + a_l)/4]
+
+    minus for "pp", plus for "pq"; this is prism_resistance_base's form with
+    (2 - sqrt3)^k = u_k - a_k sqrt3 and a_2n = 2 u_n a_n.  The terms are put
+    over the common denominator 4n(u_n - 1), so one gcd reduces the result.
+    """
+    g = un - 1
+    flat = 2 * (n - i + 1) * (i - 1) * g + 2 * n * an
+    tail = n * (an * (um + ul) - (am + al) * g)
+    return Fraction(flat - tail if kind == "pp" else flat + tail, 4 * n * g)
+
+
 def _as_vertex(v: "PrismVertex | str") -> PrismVertex:
     return v if isinstance(v, PrismVertex) else PrismVertex.parse(v)
 
@@ -99,7 +125,8 @@ def prism_resistance(n: int, u: "PrismVertex | str", v: "PrismVertex | str",
     Rotational and reflection symmetry reduce (u, v) to a base pair: same-ring
     pairs to (p1, p_i), cross-ring pairs to (p1, q_i), with the offset taken
     around the ring.  The base form is invariant under i -> n + 2 - i, so the
-    direction of the offset does not matter.
+    direction of the offset does not matter.  Exact values come from the
+    integer form of _exact_base, float ones from prism_resistance_base.
     """
     u = _as_vertex(u)
     v = _as_vertex(v)
@@ -117,7 +144,11 @@ def prism_resistance(n: int, u: "PrismVertex | str", v: "PrismVertex | str",
         p, q = (u, v) if u.ring == "p" else (v, u)
         i = (q.pos - p.pos) % n + 1
         kind = "pq"
-    return prism_resistance_base(n, i, kind, mode)
+    if mode != "exact":
+        return prism_resistance_base(n, i, kind, mode)
+    um, am = _unit(n - i + 1)
+    ul, al = _unit(i - 1)
+    return _exact_base(n, i, kind, um * ul + 3 * am * al, um * al + am * ul, um, am, ul, al)
 
 
 def prism_pair_sum(n: int, i: int, mode: str = "exact"):
@@ -178,15 +209,16 @@ def prism_resistance_via_reduction(n: int, i: int, kind: str) -> BigRat:
 
 
 def kirchhoff_closed(n: int) -> BigRat:
-    """Exact Kirchhoff index of the n-prism: n(n^2-1)/6 + 2 n^2 a_n^2/(a_2n - 2 a_n).
+    """Exact Kirchhoff index of the n-prism: n(n^2-1)/6 + n^2 a_n/(u_n - 1).
 
-    a is the sequence of genfib.gfib.  Values start 1, 11/3, 47/5, 58/3, ...
+    a is the sequence of genfib.gfib and u_n = a_{n+1} - 2 a_n; the paper's
+    2 n^2 a_n^2/(a_2n - 2 a_n) is the same, because a_2n = 2 u_n a_n.  Values
+    start 1, 11/3, 47/5, 58/3, ...
     """
     if n < 1:
         raise ValueError(f"prism index must be positive, got {n}")
-    gn = gfib(n)
-    g2n = gfib(2 * n)
-    return Fraction(n * (n * n - 1), 6) + Fraction(2 * n * n * gn * gn, g2n - 2 * gn)
+    un, an = _unit(n)
+    return Fraction(n * (n * n - 1) * (un - 1) + 6 * n * n * an, 6 * (un - 1))
 
 
 KIRCHHOFF_ROUTES = ("closed", "coth", "spectral")
@@ -259,15 +291,16 @@ def trig_sum(n: int, route: str = "direct"):
     """sum_{k=0}^{n-1} 1 / (1 + 2 sin^2(k pi / n)), two ways.
 
     route "direct" sums it numerically (float); route "closed" returns the
-    exact rational 2 n a_n^2 / (a_2n - 2 a_n).  Values: 1, 4/3, 9/5, ...
+    exact rational n a_n / (u_n - 1) = 2 n a_n^2 / (a_2n - 2 a_n).  Values:
+    1, 4/3, 9/5, ...
     """
     if n < 1:
         raise ValueError(f"prism index must be positive, got {n}")
     if route == "direct":
         return sum(1.0 / (1.0 + 2.0 * math.sin(k * math.pi / n) ** 2) for k in range(n))
     if route == "closed":
-        gn = gfib(n)
-        return Fraction(2 * n * gn * gn, gfib(2 * n) - 2 * gn)
+        un, an = _unit(n)
+        return Fraction(n * an, un - 1)
     raise ValueError(f"route must be 'direct' or 'closed', got {route!r}")
 
 
@@ -291,15 +324,28 @@ def resistance_table(n: int, mode: str = "exact") -> list[list]:
 
     Only the 2n distinct base values are evaluated; the rest is symmetry:
     row p_a is row p1 with each half rotated right by a - 1, and row q_a is
-    row q1 rotated the same way.
+    row q1 rotated the same way.  In exact mode the powers (2 + sqrt3)^m and
+    (2 + sqrt3)^l of _exact_base are stepped from one offset to the next, one
+    multiplication by 2 -/+ sqrt3 each, so only (2 + sqrt3)^n is computed
+    from scratch.
     """
     if n < 1:
         raise ValueError(f"prism index must be positive, got {n}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    pp = [prism_resistance_base(n, i, "pp", mode) for i in range(1, n + 1)]
-    pq = [prism_resistance_base(n, i, "pq", mode) for i in range(1, n + 1)]
-    pp[0] = Fraction(0) if mode == "exact" else 0.0  # the diagonal
+    if mode == "float":
+        pp = [prism_resistance_base(n, i, "pp", mode) for i in range(1, n + 1)]
+        pq = [prism_resistance_base(n, i, "pq", mode) for i in range(1, n + 1)]
+        pp[0] = 0.0  # the diagonal
+    else:
+        un, an = _unit(n)
+        um, am, ul, al = un, an, 1, 0  # m = n and l = 0 at offset i = 1
+        pp, pq = [], []
+        for i in range(1, n + 1):
+            pp.append(_exact_base(n, i, "pp", un, an, um, am, ul, al))
+            pq.append(_exact_base(n, i, "pq", un, an, um, am, ul, al))
+            um, am = 2 * um - 3 * am, 2 * am - um
+            ul, al = 2 * ul + 3 * al, ul + 2 * al
     qp = pq[:1] + pq[:0:-1]  # r(q1, p_b) is pq at offset 1 - b
     rows = []
     for left, right in ((pp, pq), (qp, pp)):

@@ -7,6 +7,7 @@ pytest failure carrying the counterexample.
 
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -194,3 +195,22 @@ def test_criterion_12_performance_floor(tmp_path):
         assert code == 0
         assert out.read_text().count("\n") == 201
         assert table_elapsed < 5.0, f"table for n=100 took {table_elapsed:.2f}s"
+
+
+def test_criterion_13_closed_forms_at_scale(capsys):
+    with criterion(13, "n = 100000: Kirchhoff and one resistance each < 1s and < 16 MB"):
+        for call in (lambda: pr.kirchhoff_closed(100000),
+                     lambda: pr.prism_resistance(100000, "p1", "q50000")):
+            tracemalloc.start()
+            try:
+                start = time.perf_counter()
+                value = call()
+                elapsed = time.perf_counter() - start
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert isinstance(value, Fraction) and value > 0
+            assert elapsed < 1.0, f"took {elapsed:.2f}s"
+            assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+        assert cli_main(["kirchhoff", "100000"]) == 0
+        capsys.readouterr()

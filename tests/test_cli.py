@@ -1,12 +1,18 @@
 """CLI contract: outputs, exit codes, determinism."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+import time
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+import prismres
 from prismres.cli import main
 from prismres.ladder import ladder_terminal_resistances
 from prismres.network import build_prism, network_from_json, network_to_json, resistance_oracle
@@ -246,10 +252,13 @@ def test_net_unfactorable_float_network_exits_one(capsys, tmp_path):
                      {"u": "b", "v": "c", "r": 1.0}]}
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow to inf is not a warning
         code, out, err = run_cli(capsys, "net", "resistance", str(path), "a", "c")
     assert (code, out) == (1, "")
-    assert "Cholesky" in err
+    error, record = err.splitlines()
+    assert error.startswith("error: ") and "Cholesky" in error
+    assert record.startswith("# command=net elapsed_ms=")
 
 
 def test_net_malformed_exits_two(capsys, tmp_path):
@@ -289,6 +298,21 @@ def test_timing_goes_to_stderr_only(capsys):
     _, out, err = run_cli(capsys, "kirchhoff", "5")
     assert "elapsed_ms" not in out
     assert "elapsed_ms" in err
+
+
+def test_elapsed_time_of_a_program_counts_its_imports():
+    # -X importtime writes the import time of every module to stderr
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(prismres.__file__)))
+    cmd = [sys.executable, "-X", "importtime", "-m", "prismres.cli", "resistance", "3", "p1", "q1"]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    assert (proc.returncode, proc.stdout) == (0, "3/5\n")
+    elapsed_ms = float(re.search(r"^# command=resistance elapsed_ms=(\S+)$", proc.stderr, re.M)[1])
+    imports_us = int(re.search(r"^import time:\s+\d+ \|\s+(\d+) \| prismres$", proc.stderr, re.M)[1])
+    # the record starts at the first statement of the package, after its
+    # module is found and loaded, which takes well under 5 ms
+    assert imports_us / 1000.0 - 5.0 <= elapsed_ms <= wall_ms
 
 
 def test_resistance_deterministic(capsys):

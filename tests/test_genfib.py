@@ -1,17 +1,14 @@
 """The 0, 1, 4, 15, 56, ... sequence and its closed-form identities."""
 
 import random
-import threading
 
 import pytest
 
 from prismres.exact import Qsqrt3
 from prismres.genfib import (
-    GenFibCache,
     gfib,
     gfib_closed,
     prism_spanning_tree_count,
-    prism_spanning_tree_count_float,
     reciprocal_power_identity,
 )
 
@@ -48,43 +45,13 @@ def test_negative_index_rejected():
         gfib(-1)
 
 
-def test_fresh_cache_instance():
-    cache = GenFibCache()
-    assert len(cache) == 2
-    assert cache.term(10) == gfib(10)
-    assert len(cache) >= 11
-
-
-def test_cache_under_concurrent_growth():
-    cache = GenFibCache()
-    results = []
-
-    def worker(target):
-        results.append((target, cache.term(target)))
-
-    threads = [threading.Thread(target=worker, args=(2500 + k,)) for k in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(results) == 8
-    for target, value in results:
-        assert value == gfib(target)
-
-
 def test_spanning_tree_counts():
     assert [prism_spanning_tree_count(n) for n in (1, 2, 3)] == [1, 12, 75]
     for n in range(1, 40):
         count = prism_spanning_tree_count(n)
         assert isinstance(count, int) and count > 0
+        # the paper's form (n/2) (a[2n]/a[n] - 2)
+        assert 2 * count * gfib(n) == n * (gfib(2 * n) - 2 * gfib(n)), n
     with pytest.raises(ValueError):
         prism_spanning_tree_count(0)
 
-
-def test_spanning_tree_float_variant():
-    for n in (1, 2, 3, 10, 30):
-        exact = prism_spanning_tree_count(n)
-        approx = prism_spanning_tree_count_float(n)
-        assert abs(approx - exact) <= 1e-9 * exact
-    with pytest.raises(OverflowError):
-        prism_spanning_tree_count_float(800)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from prismres.genfib import gfib
 from prismres.ladder import ladder_params
 from prismres.network import resistance_oracle
 from prismres.prism import (
@@ -126,6 +127,30 @@ def test_resistance_validates():
         prism_resistance(3, "p1", "what")
     with pytest.raises(ValueError):
         prism_resistance(0, "p1", "q1")
+
+
+# -- the integer route against the field route ----------------------------
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 137, 500])
+def test_integer_route_equals_field_route(n):
+    first_row = resistance_table(n)[0]  # r(p1, p_i) then r(p1, q_i), i = 1..n
+    for i in range(1, n + 1):
+        for kind, other, stepped in (("pp", f"p{i}", first_row[i - 1]),
+                                     ("pq", f"q{i}", first_row[n + i - 1])):
+            want = prism_resistance_base(n, i, kind)
+            direct = prism_resistance(n, "p1", other)
+            assert type(direct) is type(stepped) is Fraction, (n, i, kind)
+            assert direct == want and stepped == want, (n, i, kind)
+
+
+def test_kirchhoff_and_trig_sum_equal_the_a2n_forms():
+    for n in range(1, 60):
+        an = gfib(n)
+        gap = gfib(2 * n) - 2 * an
+        assert kirchhoff_closed(n) == \
+            Fraction(n * (n * n - 1), 6) + Fraction(2 * n * n * an * an, gap), n
+        assert trig_sum(n, "closed") == Fraction(2 * n * an * an, gap), n
 
 
 # -- pair sums ------------------------------------------------------------
