@@ -38,13 +38,11 @@ from .ladder import (
 )
 from .network import (
     DisconnectedNetworkError,
-    EightTerminalStencil,
     Network,
     SingularMatrixError,
     SymMatrix,
     build_ladder,
     build_prism,
-    four_corner_laplacian,
     kirchhoff_oracle,
     kron_reduce,
     matrix_tree_count,
@@ -67,7 +65,7 @@ from .prism import (
     resistance_table,
     trig_sum,
 )
-from .verify import CheckResult, run_checks
+from .verify import CheckResult, EightTerminalStencil, four_corner_laplacian, run_checks
 
 __version__ = "0.1.0"
 
@@ -77,15 +75,14 @@ __all__ = [
     "gfib", "gfib_closed", "prism_spanning_tree_count", "reciprocal_power_identity",
     "DeltaEdges", "LadderParams", "ladder_delta_edges", "ladder_params",
     "ladder_terminal_resistances",
-    "DisconnectedNetworkError", "EightTerminalStencil", "Network",
-    "SingularMatrixError", "SymMatrix", "build_ladder", "build_prism",
-    "four_corner_laplacian", "kirchhoff_oracle", "kron_reduce",
+    "DisconnectedNetworkError", "Network", "SingularMatrixError", "SymMatrix",
+    "build_ladder", "build_prism", "kirchhoff_oracle", "kron_reduce",
     "matrix_tree_count", "network_from_json", "network_to_json",
     "pinv_laplacian", "resistance_oracle",
     "PrismSpectrum", "PrismVertex", "csc2_sum_check", "kirchhoff_closed",
     "kirchhoff_float", "prism_eigenvalues", "prism_pair_sum",
     "prism_resistance", "prism_resistance_base",
     "prism_resistance_via_reduction", "resistance_table", "trig_sum",
-    "CheckResult", "run_checks",
+    "CheckResult", "EightTerminalStencil", "four_corner_laplacian", "run_checks",
     "__version__",
 ]

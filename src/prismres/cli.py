@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from decimal import Decimal
@@ -43,7 +42,6 @@ from .prism import kirchhoff_closed, kirchhoff_float, prism_resistance, resistan
 from .verify import run_checks
 
 DEFAULT_ORACLE_CAP = 200
-ORACLE_CAP_ENV = "PRISMRES_ORACLE_CAP"
 
 
 def _fmt(value) -> str:
@@ -57,6 +55,15 @@ def _fmt(value) -> str:
         text = str(Decimal(value.numerator))
         return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
     return repr(float(value))
+
+
+def _write(text: str, path: str | None) -> None:
+    """Write a command's output to the file at `path`, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _load_network(path: str) -> Network:
@@ -81,13 +88,9 @@ def _cmd_kirchhoff(args) -> int:
     if args.method == "closed":
         print(_fmt(kirchhoff_closed(args.n)))
     elif args.method == "oracle":
-        cap = args.oracle_cap
-        if cap is None:
-            cap = int(os.environ.get(ORACLE_CAP_ENV, DEFAULT_ORACLE_CAP))
-        if args.n > cap:
+        if args.n > args.oracle_cap:
             raise ValueError(
-                f"oracle method is capped at n={cap}; raise --oracle-cap or "
-                f"${ORACLE_CAP_ENV} to go higher")
+                f"oracle method is capped at n={args.oracle_cap}; raise --oracle-cap to go higher")
         print(_fmt(kirchhoff_oracle(build_prism(args.n).to_float())))
     else:
         print(_fmt(kirchhoff_float(args.n, args.method)))
@@ -110,11 +113,7 @@ def _cmd_table(args) -> int:
             "resistances": [[_fmt(x) for x in row] for row in rows],
         }
         text = json.dumps(doc, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.output)
     return 0
 
 
@@ -137,12 +136,7 @@ def _cmd_net(args) -> int:
     elif args.net_command == "reduce":
         keep = [v.strip() for v in args.keep.split(",") if v.strip()]
         doc = network_to_json(kron_reduce(net, keep))
-        text = json.dumps(doc, indent=2) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(json.dumps(doc, indent=2) + "\n", args.output)
     elif args.net_command == "spantrees":
         print(_fmt(matrix_tree_count(net)))
     else:
@@ -170,9 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--method", choices=("closed", "coth", "spectral", "oracle"),
                    default="closed")
-    p.add_argument("--oracle-cap", type=int, default=None,
-                   help=f"size cap for --method oracle (default ${ORACLE_CAP_ENV} "
-                        f"or {DEFAULT_ORACLE_CAP})")
+    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
+                   help=f"size cap for --method oracle (default {DEFAULT_ORACLE_CAP})")
     p.set_defaults(handler=_cmd_kirchhoff)
 
     p = sub.add_parser("table", help="all-pairs resistance table")

@@ -9,7 +9,6 @@ the integer kernel (genfib.gfib) that the served closed forms use.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
 # Arbitrary-precision rational scalar.  Fraction normalizes after every
@@ -37,13 +36,6 @@ def rational_to_float(value: Fraction) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
-
-
-_TERM_RE = r"(?P<{0}sign>[+-])?\s*(?P<{0}num>\d+(?:/\d+)?)(?P<{0}root>\s*\*\s*sqrt3)?"
-_PARSE_RE = re.compile(
-    r"^\s*" + _TERM_RE.format("a")
-    + r"(?:\s*(?P<bsign>[+-])\s*(?P<bnum>\d+(?:/\d+)?)(?P<broot>\s*\*\s*sqrt3)?)?\s*$"
-)
 
 
 class Qsqrt3:
@@ -78,25 +70,6 @@ class Qsqrt3:
             return root if self.b > 0 else "-" + root
         sign = "+" if self.b > 0 else "-"
         return f"{self.a} {sign} {root}"
-
-    @classmethod
-    def parse(cls, text: str) -> "Qsqrt3":
-        """Inverse of str(): accepts "5/12", "-1/2*sqrt3", "2 - 1*sqrt3", "0"."""
-        m = _PARSE_RE.match(text)
-        if m is None:
-            raise ValueError(f"cannot parse {text!r} as a Q(sqrt3) value")
-        first = Fraction(m["anum"])
-        if m["asign"] == "-":
-            first = -first
-        if m["bnum"] is None:
-            return cls(0, first) if m["aroot"] else cls(first, 0)
-        # two terms: the rational part must come first
-        if m["aroot"] or not m["broot"]:
-            raise ValueError(f"cannot parse {text!r} as a Q(sqrt3) value")
-        second = Fraction(m["bnum"])
-        if m["bsign"] == "-":
-            second = -second
-        return cls(first, second)
 
     # -- field structure -----------------------------------------------
 
@@ -168,16 +141,13 @@ class Qsqrt3:
     def __pow__(self, exponent: int) -> "Qsqrt3":
         if not isinstance(exponent, int):
             return NotImplemented
-        base = self
-        if exponent < 0:
-            base = self.inverse()
-            exponent = -exponent
+        base = self.inverse() if exponent < 0 else self
+        # from the top bit down, so no squaring is left over after the last bit
         result = Qsqrt3(1)
-        while exponent:
-            if exponent & 1:
+        for bit in bin(abs(exponent))[2:]:
+            result = result * result
+            if bit == "1":
                 result = result * base
-            base = base * base
-            exponent >>= 1
         return result
 
     def conjugate(self) -> "Qsqrt3":

@@ -21,15 +21,11 @@ Cholesky.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import lapack
-
-from .exact import BigRat, to_rational
-from .ladder import DeltaEdges, ladder_delta_edges
 
 
 class DisconnectedNetworkError(ValueError):
@@ -278,7 +274,7 @@ class Network:
         for u, v, r in triples:
             if u not in self._index or v not in self._index:
                 raise ValueError(f"edge ({u!r}, {v!r}) references an unknown vertex")
-            r = to_rational(r) if self._exact else float(r)
+            r = Fraction(r) if self._exact else float(r)
             if not r > 0:
                 raise ValueError(f"edge ({u!r}, {v!r}) must have positive resistance, got {r}")
             if not self._exact and not (math.isfinite(r) and math.isfinite(1.0 / r)):
@@ -294,7 +290,7 @@ class Network:
         return self._vertices
 
     @property
-    def edges(self) -> Iterator[tuple[str, str, BigRat | float]]:
+    def edges(self) -> Iterator[tuple[str, str, Fraction | float]]:
         for iu, iv, r in self._edges:
             yield (self._vertices[iu], self._vertices[iv], r)
 
@@ -527,83 +523,3 @@ def network_from_json(doc: dict) -> Network:
                 raise ValueError(f'edge #{k}: bad rational {r!r}') from exc
         edges.append((u, v, r))
     return Network(vertices, edges)
-
-
-# ---------------------------------------------------------------------------
-# the eight-terminal reduction stencil
-
-
-@dataclass(frozen=True)
-class EightTerminalStencil:
-    """Conductance stencil of a prism reduced onto two rung cross-sections.
-
-    Cutting the n-prism at rungs i-1 and i (kept vertices, in order:
-    p1, p_{i-1}, p_i, p_n, q1, q_{i-1}, q_i, q_n) leaves two reduced ladders
-    joined by the four surviving unit edges (p_n,p1), (p_{i-1},p_i) and their
-    q twins.  `lower` is the reduced arc p1..p_{i-1} (i-1 rungs), `upper` the
-    arc p_i..p_n (n-i+1 rungs).  Conductances, because the lower diagonal is
-    an open circuit when i = 3.
-    """
-
-    lower: DeltaEdges
-    upper: DeltaEdges
-
-    @classmethod
-    def for_prism(cls, n: int, i: int) -> "EightTerminalStencil":
-        """Stencil of the n-prism cut at rung index i, 3 <= i <= n - 1."""
-        if not 3 <= i <= n - 1:
-            raise ValueError(f"need 3 <= i <= n-1 so both arcs are true ladders, got n={n}, i={i}")
-        return cls(lower=ladder_delta_edges(i - 1), upper=ladder_delta_edges(n - i + 1))
-
-    @property
-    def lower_corner_degree(self) -> BigRat:
-        """Laplacian diagonal at p1, p_{i-1}, q1, q_{i-1}: one unit edge plus the lower arc."""
-        return (1 + self.lower.side + self.lower.rung + self.lower.diag).as_rational()
-
-    @property
-    def upper_corner_degree(self) -> BigRat:
-        """Laplacian diagonal at p_i, p_n, q_i, q_n: one unit edge plus the upper arc."""
-        return (1 + self.upper.side + self.upper.rung + self.upper.diag).as_rational()
-
-    def network(self) -> Network:
-        """The eight-vertex network itself, with generic labels t0..t7."""
-        labels = [f"t{k}" for k in range(8)]
-        edges: list[tuple[str, str, Fraction]] = []
-
-        def add(i: int, j: int, conductance) -> None:
-            g = conductance if isinstance(conductance, Fraction) else conductance.as_rational()
-            if g != 0:
-                edges.append((labels[i], labels[j], 1 / g))
-
-        lo, up = self.lower, self.upper
-        for (i, j) in ((0, 1), (4, 5)):
-            add(i, j, lo.side)
-        for (i, j) in ((0, 4), (1, 5)):
-            add(i, j, lo.rung)
-        for (i, j) in ((0, 5), (1, 4)):
-            add(i, j, lo.diag)
-        for (i, j) in ((2, 3), (6, 7)):
-            add(i, j, up.side)
-        for (i, j) in ((2, 6), (3, 7)):
-            add(i, j, up.rung)
-        for (i, j) in ((2, 7), (3, 6)):
-            add(i, j, up.diag)
-        for (i, j) in ((0, 3), (1, 2), (4, 7), (5, 6)):
-            add(i, j, Fraction(1))
-        return Network(labels, edges)
-
-    def laplacian(self) -> SymMatrix:
-        return self.network().laplacian()
-
-
-def four_corner_laplacian(delta: DeltaEdges) -> SymMatrix:
-    """Laplacian of a reduced ladder's corner graph, ordered [p_n, q_n, p1, q1]."""
-    labels = ["a", "b", "c", "d"]
-    edges = []
-    for (i, j), g in (((0, 1), delta.rung), ((2, 3), delta.rung),
-                      ((0, 2), delta.side), ((1, 3), delta.side),
-                      ((0, 3), delta.diag), ((1, 2), delta.diag)):
-        g = g.as_rational()
-        if g != 0:
-            edges.append((labels[i], labels[j], 1 / g))
-    return Network(labels, edges).laplacian()

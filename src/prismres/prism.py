@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import BigRat, Qsqrt3, SQRT3, two_minus_sqrt3_pow
+from .exact import BigRat, Qsqrt3, SQRT3, TWO_MINUS_SQRT3, two_minus_sqrt3_pow
 from .genfib import gfib
 from .ladder import ladder_params
 
@@ -65,28 +65,30 @@ def _check_args(n: int, i: int, kind: str) -> None:
 def prism_resistance_base(n: int, i: int, kind: str, mode: str = "exact"):
     """r(p1, p_i) for kind "pp" or r(p1, q_i) for kind "pq", on the n-prism.
 
-    Exact mode evaluates the Q(sqrt 3) closed form and certifies that the
-    sqrt(3) component cancels, returning a Fraction; float mode evaluates an
-    independently arranged binary64 form.  Both are O(log n) plus bignum cost.
+    With x = 2 - sqrt3, m = n - i + 1 and l = i - 1,
+
+        r = m l/(2n) + (1 + x^n -/+ (x^m + x^l)) / (2 sqrt3 (1 - x^n)),
+
+    minus for "pp", plus for "pq".  Exact mode evaluates it in Q(sqrt 3) from
+    powers of x alone, so it never calls the integer kernel it checks, and
+    certifies that the sqrt(3) component cancels, returning a Fraction; float
+    mode evaluates the same expression in binary64.
     """
     _check_args(n, i, kind)
+    m, l = n - i + 1, i - 1
     if mode == "float":
-        x = 2.0 - SQRT3
-        xn = x ** n
-        tail = x ** (n - i + 1) + x ** (i - 1)
-        if kind == "pp":
-            tail = -tail
-        return (1.0 + xn + tail) / (2.0 * SQRT3 * (1.0 - xn)) + (n - i + 1) * (i - 1) / (2.0 * n)
-    if mode != "exact":
+        x, root3, flat = 2.0 - SQRT3, SQRT3, m * l / (2.0 * n)
+    elif mode == "exact":
+        x, root3, flat = TWO_MINUS_SQRT3, Qsqrt3(0, 1), Fraction(m * l, 2 * n)
+    else:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-    gn = gfib(n)
-    g2n = gfib(2 * n)
-    gap = g2n - 2 * gn
-    flat = Fraction((n - i + 1) * (i - 1), 2 * n) + Fraction(gn * gn, gap)
-    coeff = Qsqrt3(Fraction(gn * gn, 2 * gap), Fraction(1, 12))
-    tail = coeff * (two_minus_sqrt3_pow(n - i + 1) + two_minus_sqrt3_pow(i - 1))
-    total = Qsqrt3(flat) - tail if kind == "pp" else Qsqrt3(flat) + tail
+    xn = x ** n
+    tail = x ** m + x ** l
+    if kind == "pp":
+        tail = -tail
+    total = (1 + xn + tail) / (2 * root3 * (1 - xn)) + flat
+    if mode == "float":
+        return total
     if not total.is_rational:
         raise ArithmeticError(f"sqrt(3) component failed to cancel for n={n}, i={i}, {kind}")
     return total.as_rational()
@@ -105,7 +107,7 @@ def _exact_base(n: int, i: int, kind: str, un: int, an: int,
         (m l)/(2n) + a_n/(2(u_n - 1)) -/+ [a_n (u_m + u_l)/(4(u_n - 1)) - (a_m + a_l)/4]
 
     minus for "pp", plus for "pq"; this is prism_resistance_base's form with
-    (2 - sqrt3)^k = u_k - a_k sqrt3 and a_2n = 2 u_n a_n.  The terms are put
+    (2 - sqrt3)^k = u_k - a_k sqrt3 and u_n^2 - 3 a_n^2 = 1.  The terms are put
     over the common denominator 4n(u_n - 1), so one gcd reduces the result.
     """
     g = un - 1
@@ -128,6 +130,8 @@ def prism_resistance(n: int, u: "PrismVertex | str", v: "PrismVertex | str",
     direction of the offset does not matter.  Exact values come from the
     integer form of _exact_base, float ones from prism_resistance_base.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     u = _as_vertex(u)
     v = _as_vertex(v)
     if n < 1:

@@ -1,24 +1,28 @@
 """Cross-validation of every closed form against the linear-algebra oracle.
 
-run_checks builds actual networks, computes exact pseudoinverses, and compares
-them with the closed forms, route by route.  Each check reports a pass/fail
-plus either a case count or the first counterexample; a crash inside a check
-is itself reported as a failure rather than propagated.
+This is the one module that joins the two routes.  It holds the reduced
+networks that the closed forms predict (a ladder on its four corners, a prism
+on two rung cross-sections) as oracle Networks, and run_checks builds actual
+networks, computes exact pseudoinverses, and compares them with the closed
+forms, route by route.  Each check reports a pass/fail plus either a case
+count or the first counterexample; a crash inside a check is itself reported
+as a failure rather than propagated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .genfib import gfib, prism_spanning_tree_count
-from .ladder import ladder_delta_edges, ladder_terminal_resistances
+from .ladder import DeltaEdges, ladder_delta_edges, ladder_terminal_resistances
 from .network import (
-    EightTerminalStencil,
+    Network,
+    SymMatrix,
     build_ladder,
     build_prism,
-    four_corner_laplacian,
     kirchhoff_oracle,
     kron_reduce,
     matrix_tree_count,
@@ -30,10 +34,87 @@ from .prism import (
     kirchhoff_float,
     prism_eigenvalues,
     prism_pair_sum,
+    prism_resistance,
     prism_resistance_base,
     prism_resistance_via_reduction,
     trig_sum,
 )
+
+
+# ---------------------------------------------------------------------------
+# reduced ladders as oracle networks
+
+
+def _corner_edges(delta: DeltaEdges, corners) -> list[tuple[str, str, Fraction]]:
+    """Edges of a reduced ladder between its corners, given as [p_n, q_n, p1, q1].
+
+    Each edge class lands on its two vertex pairs with resistance 1/g; an
+    open class (g == 0, the diagonal of the 2-rung ladder) gives no edge.
+    """
+    pn, qn, p1, q1 = corners
+    edges = []
+    for pairs, g in ((((pn, qn), (p1, q1)), delta.rung),
+                     (((pn, p1), (qn, q1)), delta.side),
+                     (((pn, q1), (qn, p1)), delta.diag)):
+        g = g.as_rational()
+        if g != 0:
+            edges += [(u, v, 1 / g) for u, v in pairs]
+    return edges
+
+
+def four_corner_laplacian(delta: DeltaEdges) -> SymMatrix:
+    """Laplacian of a reduced ladder's corner graph, ordered [p_n, q_n, p1, q1]."""
+    labels = ["a", "b", "c", "d"]
+    return Network(labels, _corner_edges(delta, labels)).laplacian()
+
+
+@dataclass(frozen=True)
+class EightTerminalStencil:
+    """Conductance stencil of a prism reduced onto two rung cross-sections.
+
+    Cutting the n-prism at rungs i-1 and i (kept vertices, in order:
+    p1, p_{i-1}, p_i, p_n, q1, q_{i-1}, q_i, q_n) leaves two reduced ladders
+    joined by the four surviving unit edges (p_n,p1), (p_{i-1},p_i) and their
+    q twins.  `lower` is the reduced arc p1..p_{i-1} (i-1 rungs), `upper` the
+    arc p_i..p_n (n-i+1 rungs).  Conductances, because the lower diagonal is
+    an open circuit when i = 3.
+    """
+
+    lower: DeltaEdges
+    upper: DeltaEdges
+
+    @classmethod
+    def for_prism(cls, n: int, i: int) -> "EightTerminalStencil":
+        """Stencil of the n-prism cut at rung index i, 3 <= i <= n - 1."""
+        if not 3 <= i <= n - 1:
+            raise ValueError(f"need 3 <= i <= n-1 so both arcs are true ladders, got n={n}, i={i}")
+        return cls(lower=ladder_delta_edges(i - 1), upper=ladder_delta_edges(n - i + 1))
+
+    @property
+    def lower_corner_degree(self) -> Fraction:
+        """Laplacian diagonal at p1, p_{i-1}, q1, q_{i-1}: one unit edge plus the lower arc."""
+        return (1 + self.lower.side + self.lower.rung + self.lower.diag).as_rational()
+
+    @property
+    def upper_corner_degree(self) -> Fraction:
+        """Laplacian diagonal at p_i, p_n, q_i, q_n: one unit edge plus the upper arc."""
+        return (1 + self.upper.side + self.upper.rung + self.upper.diag).as_rational()
+
+    def network(self) -> Network:
+        """The eight-vertex network itself, with generic labels t0..t7."""
+        t = [f"t{k}" for k in range(8)]
+        # each arc's corners as its own ladder's [p_n, q_n, p1, q1]
+        edges = (_corner_edges(self.lower, (t[1], t[5], t[0], t[4]))
+                 + _corner_edges(self.upper, (t[3], t[7], t[2], t[6]))
+                 + [(t[0], t[3], 1), (t[1], t[2], 1), (t[4], t[7], 1), (t[5], t[6], 1)])
+        return Network(t, edges)
+
+    def laplacian(self) -> SymMatrix:
+        return self.network().laplacian()
+
+
+# ---------------------------------------------------------------------------
+# the checks
 
 
 @dataclass(frozen=True)
@@ -76,9 +157,11 @@ def run_checks(n_max: int = 10, tol: float = 1e-9) -> list[CheckResult]:
             for i in range(1, n + 1):
                 for kind, other in (("pp", f"p{i}"), ("pq", f"q{i}")):
                     expect = resistance_oracle(net, "p1", other)
-                    got = prism_resistance_base(n, i, kind, "exact")
-                    if got != expect:
-                        raise _Counterexample(f"n={n} i={i} {kind}: closed {got} != oracle {expect}")
+                    for route, got in (("closed", prism_resistance_base(n, i, kind, "exact")),
+                                       ("integer", prism_resistance(n, "p1", other))):
+                        if got != expect:
+                            raise _Counterexample(
+                                f"n={n} i={i} {kind}: {route} {got} != oracle {expect}")
                     pairs += 1
         return f"{pairs} base pairs exact-equal"
 

@@ -107,12 +107,6 @@ def test_kirchhoff_oracle_cap(capsys):
     assert float(out) > 0
 
 
-def test_kirchhoff_oracle_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("PRISMRES_ORACLE_CAP", "10")
-    assert run_cli(capsys, "kirchhoff", "11", "--method", "oracle")[0] == 2
-    assert run_cli(capsys, "kirchhoff", "10", "--method", "oracle")[0] == 0
-
-
 # -- table -------------------------------------------------------------------
 
 

@@ -12,13 +12,11 @@ from prismres.exact import Qsqrt3
 from prismres.ladder import ladder_delta_edges
 from prismres.network import (
     DisconnectedNetworkError,
-    EightTerminalStencil,
     Network,
     SingularMatrixError,
     SymMatrix,
     build_ladder,
     build_prism,
-    four_corner_laplacian,
     kirchhoff_oracle,
     kron_reduce,
     matrix_tree_count,
@@ -27,6 +25,7 @@ from prismres.network import (
     pinv_laplacian,
     resistance_oracle,
 )
+from prismres.verify import EightTerminalStencil, four_corner_laplacian
 
 
 def _random_connected(rng: random.Random, size: int) -> Network:

@@ -127,6 +127,9 @@ def test_resistance_validates():
         prism_resistance(3, "p1", "what")
     with pytest.raises(ValueError):
         prism_resistance(0, "p1", "q1")
+    for u, v in (("p1", "p1"), ("p1", "q2")):  # the mode is checked before u == v
+        with pytest.raises(ValueError):
+            prism_resistance(3, u, v, "bogus")
 
 
 # -- the integer route against the field route ----------------------------
@@ -142,6 +145,18 @@ def test_integer_route_equals_field_route(n):
             direct = prism_resistance(n, "p1", other)
             assert type(direct) is type(stepped) is Fraction, (n, i, kind)
             assert direct == want and stepped == want, (n, i, kind)
+
+
+def test_field_route_does_not_call_the_integer_kernel(monkeypatch):
+    def refuse(k):
+        raise AssertionError(f"gfib({k}) called")
+
+    monkeypatch.setattr("prismres.prism.gfib", refuse)
+    for n in (1, 2, 5, 13, 40):
+        for i in range(1, n + 1):
+            for kind in ("pp", "pq"):
+                assert type(prism_resistance_base(n, i, kind)) is Fraction, (n, i, kind)
+                assert type(prism_resistance_base(n, i, kind, "float")) is float, (n, i, kind)
 
 
 def test_kirchhoff_and_trig_sum_equal_the_a2n_forms():
