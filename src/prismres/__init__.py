@@ -5,8 +5,13 @@ The closed forms are computed over the integers from (2 + sqrt3)^n, and
 checked against the same forms in exact Q(sqrt 3) arithmetic; the oracle
 recomputes everything from Laplacian pseudoinverses so the two routes can be
 compared at full precision.
+
+The oracle (network) and the checks that join the two routes (verify) need
+NumPy and SciPy, which take most of a second to import.  Their names are
+resolved on first use, so the closed forms load only the standard library.
 """
 
+import importlib as _importlib
 import time as _time
 
 # where the elapsed time of a command run as a program starts, so that the
@@ -36,21 +41,6 @@ from .ladder import (
     ladder_params,
     ladder_terminal_resistances,
 )
-from .network import (
-    DisconnectedNetworkError,
-    Network,
-    SingularMatrixError,
-    SymMatrix,
-    build_ladder,
-    build_prism,
-    kirchhoff_oracle,
-    kron_reduce,
-    matrix_tree_count,
-    network_from_json,
-    network_to_json,
-    pinv_laplacian,
-    resistance_oracle,
-)
 from .prism import (
     PrismSpectrum,
     PrismVertex,
@@ -65,7 +55,41 @@ from .prism import (
     resistance_table,
     trig_sum,
 )
-from .verify import CheckResult, EightTerminalStencil, four_corner_laplacian, run_checks
+
+# the public names of the two modules that import NumPy and SciPy
+_LAZY = {
+    "network": (
+        "DisconnectedNetworkError", "Network", "SingularMatrixError", "SymMatrix",
+        "build_ladder", "build_prism", "kirchhoff_oracle", "kron_reduce",
+        "matrix_tree_count", "network_from_json", "network_to_json",
+        "pinv_laplacian", "resistance_oracle",
+    ),
+    "verify": ("CheckResult", "EightTerminalStencil", "four_corner_laplacian", "run_checks"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import the home module of an oracle name, or the module itself, on first use.
+
+    The name is looked up in its home module on every access and never
+    stored here, so a name patched in its home module is what the package
+    returns.
+    """
+    home = _HOME.get(name)
+    if home is None:
+        if name in _LAZY:
+            return _importlib.import_module(f"{__name__}.{name}")
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import system binds a submodule here only once it has finished
+    # loading; until then import_module waits for it or imports it
+    module = globals().get(home) or _importlib.import_module(f"{__name__}.{home}")
+    return getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY) | set(_HOME))
+
 
 __version__ = "0.1.0"
 

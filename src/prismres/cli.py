@@ -14,6 +14,9 @@ prismres package, so it counts imports and parsing; called in-process
 through main(), it starts with the call.  Exit codes: 0 success, 1 honest
 negative (failed verification, disconnected network, a float network
 binary64 cannot factor), 2 malformed input.
+
+Only net, verify and kirchhoff --method oracle import the oracle, and with
+it NumPy and SciPy; the closed-form commands load the standard library alone.
 """
 
 from __future__ import annotations
@@ -24,22 +27,13 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import _IMPORTED_AT
-from .network import (
-    DisconnectedNetworkError,
-    Network,
-    SingularMatrixError,
-    build_prism,
-    kirchhoff_oracle,
-    kron_reduce,
-    matrix_tree_count,
-    network_from_json,
-    network_to_json,
-    resistance_oracle,
-)
 from .prism import kirchhoff_closed, kirchhoff_float, prism_resistance, resistance_table
-from .verify import run_checks
+
+if TYPE_CHECKING:
+    from .network import Network
 
 DEFAULT_ORACLE_CAP = 200
 
@@ -67,6 +61,8 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _load_network(path: str) -> Network:
+    from .network import network_from_json
+
     with open(path, encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
@@ -91,6 +87,8 @@ def _cmd_kirchhoff(args) -> int:
         if args.n > args.oracle_cap:
             raise ValueError(
                 f"oracle method is capped at n={args.oracle_cap}; raise --oracle-cap to go higher")
+        from .network import build_prism, kirchhoff_oracle
+
         print(_fmt(kirchhoff_oracle(build_prism(args.n).to_float())))
     else:
         print(_fmt(kirchhoff_float(args.n, args.method)))
@@ -118,6 +116,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_checks
+
     results = run_checks(n_max=args.n_max, tol=args.tol)
     for r in results:
         line = f"{'PASS' if r.passed else 'FAIL'} {r.name}"
@@ -130,6 +130,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_net(args) -> int:
+    from .network import (
+        kirchhoff_oracle, kron_reduce, matrix_tree_count, network_to_json, resistance_oracle)
+
     net = _load_network(args.file)
     if args.net_command == "resistance":
         print(_fmt(resistance_oracle(net, args.u, args.v)))
@@ -206,6 +209,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _oracle_errors() -> tuple[type, ...]:
+    """The oracle's honest negatives, looked up only once an exception is raised.
+
+    Neither can be raised before the oracle is imported, and an empty tuple
+    matches no exception.
+    """
+    network = sys.modules.get(f"{__package__}.network")
+    if network is None:
+        return ()
+    return network.DisconnectedNetworkError, network.SingularMatrixError
+
+
 def main(argv=None) -> int:
     """Parse and run; returns the exit code instead of raising SystemExit."""
     return _main(argv, time.perf_counter())
@@ -218,7 +233,7 @@ def _main(argv, start: float) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (DisconnectedNetworkError, SingularMatrixError) as exc:
+    except _oracle_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, TypeError, OSError) as exc:

@@ -18,6 +18,8 @@ BigRat = Fraction
 
 SQRT3 = math.sqrt(3.0)
 
+_ZERO = Fraction(0)
+
 
 def to_rational(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction, or string like "5/12" to an exact rational.
@@ -57,6 +59,18 @@ class Qsqrt3:
         self.a = to_rational(a)
         self.b = to_rational(b)
 
+    @classmethod
+    def _of(cls, a: Fraction, b: Fraction) -> "Qsqrt3":
+        """An element from two Fractions already in hand, without coercing them again.
+
+        The operators build every result this way: Fraction arithmetic on
+        Fraction components (and small int literals) yields Fractions.
+        """
+        z = object.__new__(cls)
+        z.a = a
+        z.b = b
+        return z
+
     # -- representation ------------------------------------------------
 
     def __repr__(self) -> str:
@@ -78,7 +92,7 @@ class Qsqrt3:
         if isinstance(other, Qsqrt3):
             return other
         if isinstance(other, (int, Fraction)):
-            return Qsqrt3(other)
+            return Qsqrt3._of(Fraction(other), _ZERO)
         return None
 
     def __eq__(self, other) -> bool:
@@ -96,13 +110,13 @@ class Qsqrt3:
         return bool(self.a) or bool(self.b)
 
     def __neg__(self) -> "Qsqrt3":
-        return Qsqrt3(-self.a, -self.b)
+        return Qsqrt3._of(-self.a, -self.b)
 
     def __add__(self, other) -> "Qsqrt3":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Qsqrt3(self.a + o.a, self.b + o.b)
+        return Qsqrt3._of(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
@@ -110,7 +124,7 @@ class Qsqrt3:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Qsqrt3(self.a - o.a, self.b - o.b)
+        return Qsqrt3._of(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other) -> "Qsqrt3":
         o = self._coerce(other)
@@ -122,7 +136,7 @@ class Qsqrt3:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Qsqrt3(self.a * o.a + 3 * self.b * o.b, self.a * o.b + self.b * o.a)
+        return Qsqrt3._of(self.a * o.a + 3 * self.b * o.b, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
 
@@ -152,7 +166,7 @@ class Qsqrt3:
 
     def conjugate(self) -> "Qsqrt3":
         """The Galois conjugate a - b*sqrt(3)."""
-        return Qsqrt3(self.a, -self.b)
+        return Qsqrt3._of(self.a, -self.b)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - 3 b^2; zero only for the zero element."""
@@ -163,7 +177,7 @@ class Qsqrt3:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt3)")
-        return Qsqrt3(self.a / n, -self.b / n)
+        return Qsqrt3._of(self.a / n, -self.b / n)
 
     # -- conversions ----------------------------------------------------
 

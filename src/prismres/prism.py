@@ -82,8 +82,11 @@ def prism_resistance_base(n: int, i: int, kind: str, mode: str = "exact"):
         x, root3, flat = TWO_MINUS_SQRT3, Qsqrt3(0, 1), Fraction(m * l, 2 * n)
     else:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    xn = x ** n
-    tail = x ** m + x ** l
+    xm, xl = x ** m, x ** l
+    # m + l = n, so in exact mode the third power is one product; float mode
+    # keeps its own x ** n, whose rounding differs from that of the product
+    xn = xm * xl if mode == "exact" else x ** n
+    tail = xm + xl
     if kind == "pp":
         tail = -tail
     total = (1 + xn + tail) / (2 * root3 * (1 - xn)) + flat

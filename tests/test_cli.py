@@ -309,6 +309,49 @@ def test_elapsed_time_of_a_program_counts_its_imports():
     assert imports_us / 1000.0 - 5.0 <= elapsed_ms <= wall_ms
 
 
+# runs one command through main() in a fresh interpreter, then writes its exit
+# code and the array libraries it loaded as the last line of stderr
+_LOADED_AFTER = """
+import sys
+from prismres.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted({"numpy", "scipy"} & set(sys.modules)), file=sys.stderr)
+"""
+
+
+def _loaded_after(*argv: str) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(prismres.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    code, *loaded = proc.stderr.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    return loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("resistance", "7", "p2", "q5"),
+    ("resistance", "7", "p2", "q5", "--float"),
+    ("kirchhoff", "6"),
+    ("kirchhoff", "6", "--method", "coth"),
+    ("kirchhoff", "6", "--method", "spectral"),
+    ("table", "4"),
+    ("table", "4", "--format", "json"),
+])
+def test_closed_form_commands_load_no_numpy_or_scipy(argv):
+    assert _loaded_after(*argv) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("net", "spantrees", None),
+    ("verify", "--n-max", "2"),
+    ("kirchhoff", "5", "--method", "oracle"),
+])
+def test_oracle_commands_load_numpy_and_scipy(argv, tmp_path):
+    path = tmp_path / "prism3.json"
+    path.write_text(json.dumps(network_to_json(build_prism(3))))
+    assert _loaded_after(*(str(path) if a is None else a for a in argv)) == ["numpy", "scipy"]
+
+
 def test_resistance_deterministic(capsys):
     runs = {run_cli(capsys, "resistance", "17", "p2", "q9")[1] for _ in range(3)}
     assert len(runs) == 1
