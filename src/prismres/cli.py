@@ -4,10 +4,11 @@ Subcommands:
     resistance N U V [--float]            closed-form prism resistance
     kirchhoff N [--method M] [--oracle-cap C]
     table N [--format csv|json] [--output PATH]
-    verify [--n-max N] [--tol T]
+    verify [--n-max N] [--tol T] [--format text|json]
     net {resistance,reduce,spantrees,kirchhoff} FILE ...
 
-Results go to stdout and are byte-deterministic for fixed inputs; a trailing
+Results go to stdout and are byte-deterministic for fixed inputs, apart from
+the per-check times that verify --format json reports; a trailing
 "# command=... elapsed_ms=..." record goes to stderr so timing never perturbs
 stdout.  Run as a program, the elapsed time starts with the import of the
 prismres package, so it counts imports and parsing; called in-process
@@ -119,14 +120,24 @@ def _cmd_verify(args) -> int:
     from .verify import run_checks
 
     results = run_checks(n_max=args.n_max, tol=args.tol)
-    for r in results:
-        line = f"{'PASS' if r.passed else 'FAIL'} {r.name}"
-        if r.detail:
-            line += f": {r.detail}"
-        print(line)
-    failed = sum(1 for r in results if not r.passed)
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
+    passed = sum(1 for r in results if r.passed)
+    if args.format == "json":
+        doc = {
+            "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail,
+                        "elapsed_ms": round(r.elapsed_ms, 3)} for r in results],
+            "passed": passed,
+            "total": len(results),
+            "elapsed_ms": round(sum(r.elapsed_ms for r in results), 3),
+        }
+        print(json.dumps(doc, indent=2))
+    else:
+        for r in results:
+            line = f"{'PASS' if r.passed else 'FAIL'} {r.name}"
+            if r.detail:
+                line += f": {r.detail}"
+            print(line)
+        print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
 
 
 def _cmd_net(args) -> int:
@@ -180,7 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-validate closed forms against the oracle")
     p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="bound of the float comparisons, finite and >= 0 (default 1e-9)")
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="text: one line per check; json: one object with per-check times")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("net", help="operations on a network JSON file")

@@ -3,7 +3,9 @@
 The sequence satisfies a[k+2] = 4 a[k+1] - a[k] and is the exact-integer
 backbone of every closed form in this package: (2 + sqrt3)^k = u_k + a_k sqrt3
 with u_k = a[k+1] - 2 a[k], so its terms are (up to the factor 2 sqrt3) the
-powers of 2 - sqrt3, see gfib_closed.
+powers of 2 - sqrt3, see gfib_closed.  The closed forms of a prism of n rungs
+read only a[k] and a[k+1] at k = n // 2 (and powers below them), because
+(2 + sqrt3)^n is the square of (2 + sqrt3)^k, times 2 + sqrt3 for odd n.
 """
 
 from __future__ import annotations
@@ -50,11 +52,17 @@ def reciprocal_power_identity(n: int) -> bool:
 
 
 def prism_spanning_tree_count(n: int) -> int:
-    """Number of spanning trees of the n-prism: n (u_n - 1), u_n = a[n+1] - 2 a[n].
+    """Number of spanning trees of the n-prism, from the terms at k = n // 2.
 
-    Equal to the paper's (n/2) (a[2n]/a[n] - 2), because a[2n] = 2 u_n a[n]
-    (1, 12, 75, ... for n = 1, 2, 3).
+    The count is n (u_n - 1) with (2 + sqrt3)^n = u_n + a_n sqrt3, which is
+    the paper's (n/2) (a[2n]/a[n] - 2) because a[2n] = 2 u_n a[n].  Halving
+    the exponent, u_n - 1 is 6 a[k]^2 for n = 2k and (a[k] + a[k+1])^2 for
+    n = 2k + 1 (1, 12, 75, ... for n = 1, 2, 3).
     """
     if n < 1:
         raise ValueError(f"prism index must be positive, got {n}")
-    return n * (gfib(n + 1) - 2 * gfib(n) - 1)
+    k, odd = divmod(n, 2)
+    a = gfib(k)
+    if not odd:
+        return 6 * n * a * a
+    return n * (a + gfib(k + 1)) ** 2

@@ -9,7 +9,7 @@ closed form over Q(sqrt 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import Qsqrt3, two_minus_sqrt3_pow
@@ -19,20 +19,17 @@ _TWO_SQRT3 = Qsqrt3(0, 2)
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class LadderParams:
+class LadderParams(namedtuple("LadderParams", "n rung_diag side_rung side_diag")):
     """Pairwise parallel combinations of the reduced corner-edge resistances.
 
     rung_diag = par(rung, diag), side_rung = par(side, rung), and
-    side_diag = par(side, diag), where par(x, y) = xy/(x+y).  These are the
-    quantities with clean closed forms; the individual edges are recovered
-    from them by ladder_delta_edges.  side_diag is always the integer n - 1.
+    side_diag = par(side, diag), where par(x, y) = xy/(x+y), each a Qsqrt3
+    for the ladder of n rungs.  These are the quantities with clean closed
+    forms; the individual edges are recovered from them by
+    ladder_delta_edges.  side_diag is always the integer n - 1.
     """
 
-    n: int
-    rung_diag: Qsqrt3
-    side_rung: Qsqrt3
-    side_diag: Qsqrt3
+    __slots__ = ()
 
 
 def ladder_params(n: int) -> LadderParams:
@@ -70,20 +67,17 @@ def ladder_terminal_resistances(n: int) -> tuple[Qsqrt3, Qsqrt3, Qsqrt3]:
     )
 
 
-@dataclass(frozen=True)
-class DeltaEdges:
-    """Conductances of the three corner-edge classes of a reduced ladder.
+class DeltaEdges(namedtuple("DeltaEdges", "n side rung diag")):
+    """Conductances of the three corner-edge classes of a reduced ladder of n rungs.
 
     side joins the two corners on one rail, rung the two corners of one end
-    rung, diag a corner to the opposite one.  Conductances, not resistances:
-    the diagonal of the 2-rung ladder is an open circuit (diag == 0), which
-    has no finite resistance but a perfectly good conductance.
+    rung, diag a corner to the opposite one, each a Qsqrt3.  Conductances,
+    not resistances: the diagonal of the 2-rung ladder is an open circuit
+    (diag == 0), which has no finite resistance but a perfectly good
+    conductance.
     """
 
-    n: int
-    side: Qsqrt3
-    rung: Qsqrt3
-    diag: Qsqrt3
+    __slots__ = ()
 
 
 def ladder_delta_edges(n: int) -> DeltaEdges:

@@ -4,7 +4,11 @@ The n-prism has two vertex classes of pair: same ring (p1, p_i) and cross
 ring (p1, q_i); by its symmetries every pair reduces to one of those, with
 1 <= i <= n.  The exact values are computed over the integers from
 (2 + sqrt3)^k = u_k + a_k sqrt3, with a_k = gfib(k) and u_k = a_{k+1} - 2 a_k,
-and each is built as one Fraction over a common denominator.  The field route
+at half the exponent: every form shares the ratio a_n/(u_n - 1), which is
+u_k/(3 a_k) for n = 2k and (a_{k+1} - a_k)/(a_{k+1} + a_k) for n = 2k + 1, in
+lowest terms by the unit norm u_k^2 - 3 a_k^2 = 1.  So no sequence term past
+k + 1 = n // 2 + 1 is needed, and each value is one Fraction over a common
+denominator of about n bits, reduced by one gcd.  The field route
 (prism_resistance_base, prism_resistance_via_reduction, prism_pair_sum)
 computes the same values in Q(sqrt 3) and certifies them rational; it is kept
 as the independent check of the integer one.  Each value also has a float
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import BigRat, Qsqrt3, SQRT3, TWO_MINUS_SQRT3, two_minus_sqrt3_pow
@@ -28,18 +32,17 @@ MODES = ("exact", "float")
 _VERTEX_RE = re.compile(r"^([pq])([1-9]\d*)$")
 
 
-@dataclass(frozen=True)
-class PrismVertex:
+class PrismVertex(namedtuple("PrismVertex", "ring pos")):
     """A prism vertex address: ring 'p' or 'q', 1-based position on the ring."""
 
-    ring: str
-    pos: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ring not in ("p", "q"):
-            raise ValueError(f"ring must be 'p' or 'q', got {self.ring!r}")
-        if self.pos < 1:
-            raise ValueError(f"position must be a positive integer, got {self.pos}")
+    def __new__(cls, ring: str, pos: int) -> "PrismVertex":
+        if ring not in ("p", "q"):
+            raise ValueError(f"ring must be 'p' or 'q', got {ring!r}")
+        if pos < 1:
+            raise ValueError(f"position must be a positive integer, got {pos}")
+        return super().__new__(cls, ring, pos)
 
     @classmethod
     def parse(cls, label: str) -> "PrismVertex":
@@ -103,20 +106,38 @@ def _unit(k: int) -> tuple[int, int]:
     return gfib(k + 1) - 2 * a, a
 
 
-def _exact_base(n: int, i: int, kind: str, un: int, an: int,
-                um: int, am: int, ul: int, al: int) -> BigRat:
-    """r(p1, p_i) or r(p1, q_i) over the integers, m = n - i + 1 and l = i - 1.
+def _ratio(n: int, u: int, a: int) -> tuple[int, int]:
+    """a_n/(u_n - 1) in lowest terms as (top, den), from (u, a) = (u_k, a_k), k = n // 2.
 
-        (m l)/(2n) + a_n/(2(u_n - 1)) -/+ [a_n (u_m + u_l)/(4(u_n - 1)) - (a_m + a_l)/4]
-
-    minus for "pp", plus for "pq"; this is prism_resistance_base's form with
-    (2 - sqrt3)^k = u_k - a_k sqrt3 and u_n^2 - 3 a_n^2 = 1.  The terms are put
-    over the common denominator 4n(u_n - 1), so one gcd reduces the result.
+    n = 2k gives u_k/(3 a_k) and n = 2k + 1 gives (a_{k+1} - a_k)/(a_{k+1} + a_k),
+    with a_{k+1} = u_k + 2 a_k; the unit norm u_k^2 - 3 a_k^2 = 1 makes both
+    coprime.  For any exponent d, top(u_d, a_d) is the c_d of _exact_base.
     """
-    g = un - 1
-    flat = 2 * (n - i + 1) * (i - 1) * g + 2 * n * an
-    tail = n * (an * (um + ul) - (am + al) * g)
-    return Fraction(flat - tail if kind == "pp" else flat + tail, 4 * n * g)
+    if n % 2:
+        return u + a, u + 3 * a
+    return u, 3 * a
+
+
+def _exact_base(n: int, i: int, kind: str, uk: int, ak: int, ud: int, ad: int) -> BigRat:
+    """r(p1, p_i) or r(p1, q_i) over the integers, from k = n // 2 and d = k - i + 1.
+
+    With (u_k, a_k) and (u_d, a_d) the integer parts of (2 + sqrt3)^k and
+    (2 + sqrt3)^d (d may be negative, a_{-d} = -a_d), and c_k/den the ratio
+    a_n/(u_n - 1) of _ratio,
+
+        (n - i + 1)(i - 1)/(2n) + (c_k -/+ c_d)/(2 den),
+
+    minus for "pp", plus for "pq", where c_d = u_d = u_j with j = |d| for
+    even n, and c_d = a_{d+1} - a_d = u_d + a_d, which is a_{j+1} - a_j with
+    j = (|2d + 1| - 1)/2 = (|n - 2i + 2| - 1)/2, for odd n.  This is
+    prism_resistance_base's form with numerator and denominator multiplied by
+    (2 + sqrt3)^(n/2).  The terms are put over the common denominator 2n den,
+    of about n bits, so one gcd reduces the result.
+    """
+    top, den = _ratio(n, uk, ak)
+    side = n * _ratio(n, ud, ad)[0]
+    flat = (n - i + 1) * (i - 1) * den + n * top
+    return Fraction(flat - side if kind == "pp" else flat + side, 2 * n * den)
 
 
 def _as_vertex(v: "PrismVertex | str") -> PrismVertex:
@@ -153,9 +174,10 @@ def prism_resistance(n: int, u: "PrismVertex | str", v: "PrismVertex | str",
         kind = "pq"
     if mode != "exact":
         return prism_resistance_base(n, i, kind, mode)
-    um, am = _unit(n - i + 1)
-    ul, al = _unit(i - 1)
-    return _exact_base(n, i, kind, um * ul + 3 * am * al, um * al + am * ul, um, am, ul, al)
+    k = n // 2
+    d = k - i + 1
+    ud, ad = _unit(abs(d))
+    return _exact_base(n, i, kind, *_unit(k), ud, ad if d >= 0 else -ad)
 
 
 def prism_pair_sum(n: int, i: int, mode: str = "exact"):
@@ -219,13 +241,15 @@ def kirchhoff_closed(n: int) -> BigRat:
     """Exact Kirchhoff index of the n-prism: n(n^2-1)/6 + n^2 a_n/(u_n - 1).
 
     a is the sequence of genfib.gfib and u_n = a_{n+1} - 2 a_n; the paper's
-    2 n^2 a_n^2/(a_2n - 2 a_n) is the same, because a_2n = 2 u_n a_n.  Values
-    start 1, 11/3, 47/5, 58/3, ...
+    2 n^2 a_n^2/(a_2n - 2 a_n) is the same, because a_2n = 2 u_n a_n.  The
+    ratio a_n/(u_n - 1) is taken in lowest terms from the terms at n // 2
+    (_ratio), so the value is one Fraction of about n bits.  Values start
+    1, 11/3, 47/5, 58/3, ...
     """
     if n < 1:
         raise ValueError(f"prism index must be positive, got {n}")
-    un, an = _unit(n)
-    return Fraction(n * (n * n - 1) * (un - 1) + 6 * n * n * an, 6 * (un - 1))
+    top, den = _ratio(n, *_unit(n // 2))
+    return Fraction(n * (n * n - 1) * den + 6 * n * n * top, 6 * den)
 
 
 KIRCHHOFF_ROUTES = ("closed", "coth", "spectral")
@@ -260,17 +284,15 @@ def kirchhoff_float(n: int, route: str = "closed") -> float:
 # spectrum
 
 
-@dataclass(frozen=True)
-class PrismSpectrum:
-    """The 2n Laplacian eigenvalues of the n-prism, ascending.
+class PrismSpectrum(namedtuple("PrismSpectrum", "n values")):
+    """The 2n Laplacian eigenvalues of the n-prism, ascending, as a tuple `values`.
 
     values[0] is the single exact zero; `nonzero` is everything after it.
     The analytic form is 2 - 2 cos(2 pi j / n) and 4 - 2 cos(2 pi j / n)
     for j = 0 .. n-1.
     """
 
-    n: int
-    values: tuple[float, ...]
+    __slots__ = ()
 
     @property
     def nonzero(self) -> tuple[float, ...]:
@@ -298,7 +320,8 @@ def trig_sum(n: int, route: str = "direct"):
     """sum_{k=0}^{n-1} 1 / (1 + 2 sin^2(k pi / n)), two ways.
 
     route "direct" sums it numerically (float); route "closed" returns the
-    exact rational n a_n / (u_n - 1) = 2 n a_n^2 / (a_2n - 2 a_n).  Values:
+    exact rational n a_n / (u_n - 1) = 2 n a_n^2 / (a_2n - 2 a_n), with the
+    ratio in lowest terms from the terms at n // 2 (_ratio).  Values:
     1, 4/3, 9/5, ...
     """
     if n < 1:
@@ -306,8 +329,8 @@ def trig_sum(n: int, route: str = "direct"):
     if route == "direct":
         return sum(1.0 / (1.0 + 2.0 * math.sin(k * math.pi / n) ** 2) for k in range(n))
     if route == "closed":
-        un, an = _unit(n)
-        return Fraction(n * an, un - 1)
+        top, den = _ratio(n, *_unit(n // 2))
+        return Fraction(n * top, den)
     raise ValueError(f"route must be 'direct' or 'closed', got {route!r}")
 
 
@@ -331,10 +354,10 @@ def resistance_table(n: int, mode: str = "exact") -> list[list]:
 
     Only the 2n distinct base values are evaluated; the rest is symmetry:
     row p_a is row p1 with each half rotated right by a - 1, and row q_a is
-    row q1 rotated the same way.  In exact mode the powers (2 + sqrt3)^m and
-    (2 + sqrt3)^l of _exact_base are stepped from one offset to the next, one
-    multiplication by 2 -/+ sqrt3 each, so only (2 + sqrt3)^n is computed
-    from scratch.
+    row q1 rotated the same way.  In exact mode the power (2 + sqrt3)^d of
+    _exact_base, d = n // 2 - i + 1, is stepped from one offset to the next,
+    one multiplication by 2 - sqrt3 each, so only (2 + sqrt3)^(n // 2) is
+    computed from scratch.
     """
     if n < 1:
         raise ValueError(f"prism index must be positive, got {n}")
@@ -345,14 +368,13 @@ def resistance_table(n: int, mode: str = "exact") -> list[list]:
         pq = [prism_resistance_base(n, i, "pq", mode) for i in range(1, n + 1)]
         pp[0] = 0.0  # the diagonal
     else:
-        un, an = _unit(n)
-        um, am, ul, al = un, an, 1, 0  # m = n and l = 0 at offset i = 1
+        uk, ak = _unit(n // 2)
+        ud, ad = uk, ak  # d = k at offset i = 1
         pp, pq = [], []
         for i in range(1, n + 1):
-            pp.append(_exact_base(n, i, "pp", un, an, um, am, ul, al))
-            pq.append(_exact_base(n, i, "pq", un, an, um, am, ul, al))
-            um, am = 2 * um - 3 * am, 2 * am - um
-            ul, al = 2 * ul + 3 * al, ul + 2 * al
+            pp.append(_exact_base(n, i, "pp", uk, ak, ud, ad))
+            pq.append(_exact_base(n, i, "pq", uk, ak, ud, ad))
+            ud, ad = 2 * ud - 3 * ad, 2 * ad - ud
     qp = pq[:1] + pq[:0:-1]  # r(q1, p_b) is pq at offset 1 - b
     rows = []
     for left, right in ((pp, pq), (qp, pp)):

@@ -5,12 +5,14 @@ networks that the closed forms predict (a ladder on its four corners, a prism
 on two rung cross-sections) as oracle Networks, and run_checks builds actual
 networks, computes exact pseudoinverses, and compares them with the closed
 forms, route by route.  Each check reports a pass/fail plus either a case
-count or the first counterexample; a crash inside a check is itself reported
-as a failure rather than propagated.
+count or the first counterexample, and its wall time; a crash inside a check
+is itself reported as a failure rather than propagated.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,6 +124,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+    elapsed_ms: float = 0.0
 
 
 class _Counterexample(Exception):
@@ -129,9 +132,17 @@ class _Counterexample(Exception):
 
 
 def run_checks(n_max: int = 10, tol: float = 1e-9) -> list[CheckResult]:
-    """Run the whole cross-validation ladder up to prism/ladder size n_max."""
+    """Run the whole cross-validation ladder up to prism/ladder size n_max.
+
+    tol bounds the float comparisons, absolute for resistances and relative
+    for the Kirchhoff index and the trigonometric sums; it must be finite and
+    nonnegative, since every comparison with NaN is false and an infinite
+    bound accepts anything.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     sizes = range(1, n_max + 1)
     prisms = {n: build_prism(n) for n in sizes}
     ladders = {n: build_ladder(n) for n in sizes}
@@ -139,14 +150,15 @@ def run_checks(n_max: int = 10, tol: float = 1e-9) -> list[CheckResult]:
 
     def check(name):
         def wrap(fn):
+            start = time.perf_counter()
             try:
-                detail = fn()
+                passed, detail = True, fn() or ""
             except _Counterexample as exc:
-                results.append(CheckResult(name, False, str(exc)))
+                passed, detail = False, str(exc)
             except Exception as exc:  # a crash is a failure, not a traceback
-                results.append(CheckResult(name, False, f"crashed: {exc!r}"))
-            else:
-                results.append(CheckResult(name, True, detail or ""))
+                passed, detail = False, f"crashed: {exc!r}"
+            elapsed_ms = (time.perf_counter() - start) * 1000.0
+            results.append(CheckResult(name, passed, detail, elapsed_ms))
         return wrap
 
     @check("resistance-closed-vs-oracle")

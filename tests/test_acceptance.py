@@ -214,3 +214,21 @@ def test_criterion_13_closed_forms_at_scale(capsys):
             assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
         assert cli_main(["kirchhoff", "100000"]) == 0
         capsys.readouterr()
+
+
+def test_criterion_14_closed_forms_at_a_million(full_size):
+    with criterion(14, "n = 10^6: Kirchhoff, one resistance and the tree count each < 6s"):
+        n = 10 ** 6
+        for call in (lambda: pr.kirchhoff_closed(n),
+                     lambda: pr.prism_resistance(n, "p1", "q500000"),
+                     lambda: pr.prism_spanning_tree_count(n)):
+            start = time.perf_counter()
+            value = call()
+            elapsed = time.perf_counter() - start
+            assert value > 0
+            assert elapsed < 6.0, f"took {elapsed:.2f}s"
+        # the same three values at n = 10^5 against the forms at the full exponent
+        n = 10 ** 5
+        assert pr.kirchhoff_closed(n) == full_size.kirchhoff(n)
+        assert pr.prism_resistance(n, "p1", "q50000") == full_size.resistance(n, 50000, "pq")
+        assert pr.prism_spanning_tree_count(n) == full_size.tree_count(n)

@@ -170,6 +170,45 @@ def test_verify_handles_degenerate_sizes(capsys):
     assert run_cli(capsys, "verify", "--n-max", "1")[0] == 0
 
 
+@pytest.mark.parametrize("tol, code", [
+    ("1e-9", 0), ("0.5", 0), ("0", 1), ("1e-30", 1),
+    ("nan", 2), ("inf", 2), ("-inf", 2), ("-1", 2),
+])
+def test_verify_exit_code_by_tolerance(capsys, tol, code):
+    got, out, err = run_cli(capsys, "verify", "--n-max", "2", f"--tol={tol}")
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: tol must be finite and nonnegative")
+    else:
+        assert out.endswith("checks passed\n")
+
+
+def test_verify_json_reports_each_check_and_the_totals(capsys):
+    text_code, text, _ = run_cli(capsys, "verify", "--n-max", "3")
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "3", "--format", "json")
+    assert code == text_code == 0
+    doc = json.loads(out)
+    assert set(doc) == {"checks", "passed", "total", "elapsed_ms"}
+    lines = text.splitlines()
+    assert lines[-1] == f"{doc['passed']}/{doc['total']} checks passed" == "13/13 checks passed"
+    assert len(doc["checks"]) == doc["total"] == len(lines) - 1
+    for check, line in zip(doc["checks"], lines):
+        assert set(check) == {"name", "passed", "detail", "elapsed_ms"}
+        assert line == f"PASS {check['name']}: {check['detail']}"
+        assert check["passed"] is True and check["elapsed_ms"] >= 0
+    assert doc["elapsed_ms"] > 0
+    assert doc["elapsed_ms"] >= max(c["elapsed_ms"] for c in doc["checks"])
+
+
+def test_verify_json_reports_failures_with_exit_one(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "3", "--tol", "1e-30", "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    failed = [c["name"] for c in doc["checks"] if not c["passed"]]
+    assert failed and doc["passed"] == doc["total"] - len(failed)
+
+
 # -- net ---------------------------------------------------------------------
 
 
@@ -339,6 +378,17 @@ def _loaded_after(*argv: str) -> list[str]:
 ])
 def test_closed_form_commands_load_no_numpy_or_scipy(argv):
     assert _loaded_after(*argv) == []
+
+
+def test_the_cli_imports_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize, which the closed
+    # forms do not need at startup
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(prismres.__file__)))
+    code = ("import sys, prismres.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "\n"), proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from prismres.genfib import gfib
+from prismres.genfib import gfib, prism_spanning_tree_count
 from prismres.ladder import ladder_params
 from prismres.network import resistance_oracle
 from prismres.prism import (
@@ -166,6 +166,60 @@ def test_kirchhoff_and_trig_sum_equal_the_a2n_forms():
         assert kirchhoff_closed(n) == \
             Fraction(n * (n * n - 1), 6) + Fraction(2 * n * n * an * an, gap), n
         assert trig_sum(n, "closed") == Fraction(2 * n * an * an, gap), n
+
+
+# -- half-size integer forms ----------------------------------------------
+
+_LARGE = (10 ** 4, 10 ** 4 + 1)
+
+
+def _sample_offsets(n: int) -> list[int]:
+    """Every offset for small n; the ends, the middle and a few seeded ones for large n."""
+    if n <= 101:
+        return list(range(1, n + 1))
+    k = n // 2
+    rng = random.Random(n)
+    return sorted({1, 2, k - 1, k, k + 1, k + 2, n - 1, n} | {rng.randint(1, n) for _ in range(4)})
+
+
+def test_integer_route_never_powers_past_half_of_n(monkeypatch):
+    seen = []
+
+    def recording(k):
+        seen.append(k)
+        return gfib(k)
+
+    monkeypatch.setattr("prismres.prism.gfib", recording)
+    monkeypatch.setattr("prismres.genfib.gfib", recording)
+    for n in [*range(1, 41), 101, *_LARGE]:
+        calls = [lambda: kirchhoff_closed(n), lambda: trig_sum(n, "closed"),
+                 lambda: prism_spanning_tree_count(n)]
+        calls += [lambda other=f"{ring}{i}": prism_resistance(n, "p1", other)
+                  for i in _sample_offsets(n) for ring in "pq"]
+        if n <= 101:
+            calls.append(lambda: resistance_table(n))
+        for call in calls:
+            seen.clear()
+            call()
+            assert max(seen, default=0) <= n // 2 + 1, (n, max(seen))
+
+
+def test_half_size_forms_equal_the_full_size_forms(full_size):
+    for n in [*range(1, 201), *_LARGE]:
+        assert kirchhoff_closed(n) == full_size.kirchhoff(n), n
+        assert trig_sum(n, "closed") == full_size.trig_sum(n), n
+        assert prism_spanning_tree_count(n) == full_size.tree_count(n), n
+        if n <= 200:
+            row = full_size.first_row(n)
+            assert resistance_table(n)[0] == row, n
+            want = {(i, kind): row[i - 1 if kind == "pp" else n + i - 1]
+                    for i in range(1, n + 1) for kind in ("pp", "pq")}
+        else:
+            want = {(i, kind): full_size.resistance(n, i, kind)
+                    for i in _sample_offsets(n) for kind in ("pp", "pq")}
+        for (i, kind), value in want.items():
+            other = f"{'p' if kind == 'pp' else 'q'}{i}"
+            assert prism_resistance(n, "p1", other) == value, (n, i, kind)
 
 
 # -- pair sums ------------------------------------------------------------

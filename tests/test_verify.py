@@ -1,9 +1,12 @@
 """The module that joins the two routes, and the import boundary that keeps them apart."""
 
 import ast
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import prismres
 from prismres import prism
@@ -59,3 +62,9 @@ def test_verify_checks_the_integer_kernel_against_the_oracle(monkeypatch):
     assert len(results) == 13
     assert [r.name for r in results if not r.passed] == ["resistance-closed-vs-oracle"]
     assert "integer" in results[0].detail
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+def test_run_checks_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    with pytest.raises(ValueError, match="tol"):
+        run_checks(n_max=2, tol=tol)
