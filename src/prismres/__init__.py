@@ -19,7 +19,6 @@ import time as _time
 _IMPORTED_AT = _time.perf_counter()
 
 from .exact import (
-    BigRat,
     Qsqrt3,
     SQRT3,
     TWO_MINUS_SQRT3,
@@ -94,7 +93,7 @@ def __dir__() -> list[str]:
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRat", "Qsqrt3", "SQRT3", "TWO_MINUS_SQRT3", "TWO_PLUS_SQRT3",
+    "Qsqrt3", "SQRT3", "TWO_MINUS_SQRT3", "TWO_PLUS_SQRT3",
     "rational_to_float", "to_rational", "two_minus_sqrt3_pow",
     "gfib", "gfib_closed", "prism_spanning_tree_count", "reciprocal_power_identity",
     "DeltaEdges", "LadderParams", "ladder_delta_edges", "ladder_params",

@@ -28,13 +28,9 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import _IMPORTED_AT
 from .prism import kirchhoff_closed, kirchhoff_float, prism_resistance, resistance_table
-
-if TYPE_CHECKING:
-    from .network import Network
 
 DEFAULT_ORACLE_CAP = 200
 
@@ -61,7 +57,7 @@ def _write(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_network(path: str) -> Network:
+def _load_network(path: str):
     from .network import network_from_json
 
     with open(path, encoding="utf-8") as handle:

@@ -11,11 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# Arbitrary-precision rational scalar.  Fraction normalizes after every
-# operation (coprime numerator/denominator, positive denominator), which is
-# exactly the canonical form the exact algorithms rely on.
-BigRat = Fraction
-
 SQRT3 = math.sqrt(3.0)
 
 _ZERO = Fraction(0)

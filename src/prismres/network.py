@@ -51,27 +51,27 @@ class SymMatrix:
 
     __slots__ = ("_m",)
 
-    def __init__(self, rows, check: bool = True):
-        if isinstance(rows, np.ndarray) and rows.dtype != object:
-            arr = np.array(rows, dtype=float)
+    def __init__(self, rows):
+        data = rows.tolist() if isinstance(rows, np.ndarray) else [list(r) for r in rows]
+        if any(isinstance(x, float) for row in data for x in row):
+            arr = np.array([[float(x) for x in row] for row in data], dtype=float)
         else:
-            data = [list(r) for r in rows]
-            if any(isinstance(x, float) for row in data for x in row):
-                arr = np.array([[float(x) for x in row] for row in data], dtype=float)
-            else:
-                arr = np.array(
-                    [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in data],
-                    dtype=object,
-                )
+            arr = np.array([[Fraction(x) for x in row] for row in data], dtype=object)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if check:
-            if arr.dtype == object:
-                if not all(arr[i, j] == arr[j, i] for i in range(arr.shape[0]) for j in range(i)):
-                    raise ValueError("matrix is not symmetric")
-            elif not np.array_equal(arr, arr.T):
-                raise ValueError("matrix is not symmetric")
+        if not np.array_equal(arr, arr.T):
+            raise ValueError("matrix is not symmetric")
         self._m = arr
+
+    @classmethod
+    def _of(cls, arr: np.ndarray) -> "SymMatrix":
+        """A matrix from a square symmetric array the oracle built, neither copied nor checked.
+
+        The array's dtype is the mode: object for Fractions, float64 for floats.
+        """
+        m = object.__new__(cls)
+        m._m = arr
+        return m
 
     @property
     def order(self) -> int:
@@ -100,17 +100,9 @@ class SymMatrix:
         kind = "exact" if self.is_exact else "float"
         return f"SymMatrix(order={self.order}, {kind})"
 
-    def to_float(self) -> "SymMatrix":
-        if not self.is_exact:
-            return self
-        return SymMatrix(np.array([[float(x) for x in row] for row in self._m], dtype=float), check=False)
-
-    def row_sums(self) -> list:
-        return [sum(row) for row in self._m]
-
     def eigenvalues(self) -> np.ndarray:
         """Float spectrum, ascending (symmetric eigensolver)."""
-        return np.linalg.eigvalsh(self.to_float().entries)
+        return np.linalg.eigvalsh(self._m.astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +207,9 @@ def pinv_laplacian(lap: SymMatrix) -> SymMatrix:
         sums = [sum(row) for row in t]
         total = sum(sums)
         scale = det * n * n
-        return SymMatrix([[Fraction(-d * (n * n * x - n * (si + sj) + total), scale)
-                           for x, sj in zip(row, sums)] for row, si in zip(t, sums)], check=False)
+        lp = [[Fraction(-d * (n * n * x - n * (si + sj) + total), scale)
+               for x, sj in zip(row, sums)] for row, si in zip(t, sums)]
+        return SymMatrix._of(np.array(lp, dtype=object))
     g = np.zeros((n, n))
     if m:
         k = int(np.argmax(lap.entries.diagonal()))
@@ -239,7 +232,7 @@ def pinv_laplacian(lap: SymMatrix) -> SymMatrix:
     for _ in range(2):
         g -= g.mean(axis=1, keepdims=True)
         g -= g.mean(axis=0, keepdims=True)
-    return SymMatrix((g + g.T) / 2.0, check=False)
+    return SymMatrix._of((g + g.T) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,20 +317,17 @@ class Network:
         """
         if self._lap is None:
             n = self.vertex_count
-            if self._exact:
-                rows = [[Fraction(0)] * n for _ in range(n)]
-            else:
-                rows = np.zeros((n, n))
+            rows = np.full((n, n), Fraction(0), dtype=object) if self._exact else np.zeros((n, n))
             with np.errstate(over="ignore"):
                 for iu, iv, r in self._edges:
                     if iu == iv:
                         continue
                     g = 1 / r
-                    rows[iu][iu] += g
-                    rows[iv][iv] += g
-                    rows[iu][iv] -= g
-                    rows[iv][iu] -= g
-            self._lap = SymMatrix(rows, check=False)
+                    rows[iu, iu] += g
+                    rows[iv, iv] += g
+                    rows[iu, iv] -= g
+                    rows[iv, iu] -= g
+            self._lap = SymMatrix._of(rows)
         return self._lap
 
     def pseudoinverse(self) -> SymMatrix:

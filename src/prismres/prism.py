@@ -22,7 +22,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import BigRat, Qsqrt3, SQRT3, TWO_MINUS_SQRT3, two_minus_sqrt3_pow
+from .exact import Qsqrt3, SQRT3, TWO_MINUS_SQRT3, two_minus_sqrt3_pow
 from .genfib import gfib
 from .ladder import ladder_params
 
@@ -118,7 +118,7 @@ def _ratio(n: int, u: int, a: int) -> tuple[int, int]:
     return u, 3 * a
 
 
-def _exact_base(n: int, i: int, kind: str, uk: int, ak: int, ud: int, ad: int) -> BigRat:
+def _exact_base(n: int, i: int, kind: str, uk: int, ak: int, ud: int, ad: int) -> Fraction:
     """r(p1, p_i) or r(p1, q_i) over the integers, from k = n // 2 and d = k - i + 1.
 
     With (u_k, a_k) and (u_d, a_d) the integer parts of (2 + sqrt3)^k and
@@ -200,7 +200,7 @@ def prism_pair_sum(n: int, i: int, mode: str = "exact"):
     return total.as_rational()
 
 
-def prism_resistance_via_reduction(n: int, i: int, kind: str) -> BigRat:
+def prism_resistance_via_reduction(n: int, i: int, kind: str) -> Fraction:
     """Exact r(p1, p_i) or r(p1, q_i) by composing reduced ladder arcs, 2 <= i <= n.
 
     Cutting the prism at the two target rungs splits it into an arc of i - 1
@@ -237,7 +237,7 @@ def prism_resistance_via_reduction(n: int, i: int, kind: str) -> BigRat:
 # Kirchhoff index
 
 
-def kirchhoff_closed(n: int) -> BigRat:
+def kirchhoff_closed(n: int) -> Fraction:
     """Exact Kirchhoff index of the n-prism: n(n^2-1)/6 + n^2 a_n/(u_n - 1).
 
     a is the sequence of genfib.gfib and u_n = a_{n+1} - 2 a_n; the paper's

@@ -134,10 +134,10 @@ class _Counterexample(Exception):
 def run_checks(n_max: int = 10, tol: float = 1e-9) -> list[CheckResult]:
     """Run the whole cross-validation ladder up to prism/ladder size n_max.
 
-    tol bounds the float comparisons, absolute for resistances and relative
-    for the Kirchhoff index and the trigonometric sums; it must be finite and
-    nonnegative, since every comparison with NaN is false and an infinite
-    bound accepts anything.
+    tol bounds the float comparisons, absolute for resistances and
+    eigenvalues and relative for the Kirchhoff index and the trigonometric
+    sums; it must be finite and nonnegative, since every comparison with NaN
+    is false and an infinite bound accepts anything.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
@@ -258,8 +258,8 @@ def run_checks(n_max: int = 10, tol: float = 1e-9) -> list[CheckResult]:
         for n in sizes:
             analytic = np.array(prism_eigenvalues(n).values)
             numeric = prisms[n].laplacian().eigenvalues()
-            if np.abs(analytic - numeric).max() > 1e-8:
-                raise _Counterexample(f"n={n}: spectra differ beyond 1e-8")
+            if np.abs(analytic - numeric).max() > tol:
+                raise _Counterexample(f"n={n}: spectra differ beyond {tol}")
         return f"analytic spectrum matches eigensolver for n <= {n_max}"
 
     @check("spanning-trees")

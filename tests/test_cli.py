@@ -391,6 +391,15 @@ def test_the_cli_imports_no_dataclasses_or_inspect():
     assert (proc.returncode, proc.stdout) == (0, "\n"), proc.stderr
 
 
+def test_the_cli_imports_no_typing():
+    # -S keeps site, whose .pth hooks may load typing themselves, out of the count
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(prismres.__file__)))
+    code = "import sys, prismres.cli; print('typing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ("net", "spantrees", None),
     ("verify", "--n-max", "2"),

@@ -134,8 +134,8 @@ def test_laplacian_doubled_edges_accumulate():
 
 
 def test_laplacian_row_sums():
-    assert all(s == 0 for s in build_prism(5).laplacian().row_sums())
-    float_sums = build_prism(5).to_float().laplacian().row_sums()
+    assert all(sum(row) == 0 for row in build_prism(5).laplacian().entries)
+    float_sums = build_prism(5).to_float().laplacian().entries.sum(axis=1)
     assert max(abs(s) for s in float_sums) <= 1e-12
 
 
@@ -158,11 +158,18 @@ def test_sym_matrix_modes_and_equality():
 
 
 def test_sym_matrix_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        SymMatrix([[1, 2, 3], [4, 5, 6]])
-    with pytest.raises(ValueError):
-        SymMatrix([[1, 2], [3, 4]])  # asymmetric
-    SymMatrix([[1, 2], [3, 4]], check=False)  # caller takes responsibility
+    # not square, then asymmetric, in exact and in float mode
+    for rows in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4]],
+                 [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [[1.0, 2.0], [3.0, 4.0]]):
+        with pytest.raises(ValueError):
+            SymMatrix(rows)
+
+
+def test_sym_matrix_int_array_is_exact():
+    m = SymMatrix(np.array([[1, -1], [-1, 1]]))
+    assert m.is_exact
+    assert m == SymMatrix([[1, -1], [-1, 1]])
+    assert type(m[0, 1]) is Fraction and type(m[0, 1].numerator) is int
 
 
 def test_sym_matrix_eigenvalues_sorted():

@@ -68,3 +68,12 @@ def test_verify_checks_the_integer_kernel_against_the_oracle(monkeypatch):
 def test_run_checks_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
     with pytest.raises(ValueError, match="tol"):
         run_checks(n_max=2, tol=tol)
+
+
+def test_the_spectrum_check_is_bounded_by_tol():
+    def spectrum(tol):
+        return next(r for r in run_checks(n_max=3, tol=tol) if r.name == "spectrum")
+
+    assert spectrum(1e-9).passed
+    tight = spectrum(1e-30)
+    assert not tight.passed and "1e-30" in tight.detail
