@@ -58,7 +58,7 @@ from .prism import (
 # the public names of the two modules that import NumPy and SciPy
 _LAZY = {
     "network": (
-        "DisconnectedNetworkError", "Network", "SingularMatrixError", "SymMatrix",
+        "DisconnectedNetworkError", "Network", "SingularMatrixError",
         "build_ladder", "build_prism", "kirchhoff_oracle", "kron_reduce",
         "matrix_tree_count", "network_from_json", "network_to_json",
         "pinv_laplacian", "resistance_oracle",
@@ -98,7 +98,7 @@ __all__ = [
     "gfib", "gfib_closed", "prism_spanning_tree_count", "reciprocal_power_identity",
     "DeltaEdges", "LadderParams", "ladder_delta_edges", "ladder_params",
     "ladder_terminal_resistances",
-    "DisconnectedNetworkError", "Network", "SingularMatrixError", "SymMatrix",
+    "DisconnectedNetworkError", "Network", "SingularMatrixError",
     "build_ladder", "build_prism", "kirchhoff_oracle", "kron_reduce",
     "matrix_tree_count", "network_from_json", "network_to_json",
     "pinv_laplacian", "resistance_oracle",

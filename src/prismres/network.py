@@ -3,12 +3,13 @@
 A Network is a weighted multigraph (parallel edges and self-loops allowed)
 whose edges carry positive resistances, either all exact rationals or all
 binary64 floats.  Everything observable about it flows through the graph
-Laplacian L.  Whether the graph is connected is read off L's edges by
-union-find, never from a pivot.  Once it is, L with one vertex grounded (its
-row and column deleted) is positive definite, and one elimination without
-pivoting answers every question: exact networks scale L to an integer matrix
-and run fraction-free (Bareiss) elimination, float networks factor with
-Cholesky.
+Laplacian L.  Whether the graph is connected is read off the edge list by
+union-find, never from L or a pivot.  Once it is, L with one vertex grounded
+(its row and column deleted) is positive definite, and one elimination
+without pivoting answers every question: exact networks scale L to an
+integer matrix and run fraction-free (Bareiss) elimination, float networks
+factor with Cholesky.  L and L+ are plain NumPy arrays: Fraction object
+arrays on exact networks, float64 on float ones.
 
 * Effective resistances and the Kirchhoff index come from the Moore-Penrose
   pseudoinverse L+ = P G P, where G is the inverse of the grounded block,
@@ -38,85 +39,17 @@ class SingularMatrixError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# dense symmetric matrices, exact or float
-
-
-class SymMatrix:
-    """Dense symmetric matrix over exact rationals or binary64 floats.
-
-    Exact matrices hold Fractions in a numpy object array; float matrices are
-    plain float64 arrays.  The mode is decided by the entries: any float makes
-    the whole matrix float, otherwise ints are promoted to Fraction.
-    """
-
-    __slots__ = ("_m",)
-
-    def __init__(self, rows):
-        data = rows.tolist() if isinstance(rows, np.ndarray) else [list(r) for r in rows]
-        if any(isinstance(x, float) for row in data for x in row):
-            arr = np.array([[float(x) for x in row] for row in data], dtype=float)
-        else:
-            arr = np.array([[Fraction(x) for x in row] for row in data], dtype=object)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.array_equal(arr, arr.T):
-            raise ValueError("matrix is not symmetric")
-        self._m = arr
-
-    @classmethod
-    def _of(cls, arr: np.ndarray) -> "SymMatrix":
-        """A matrix from a square symmetric array the oracle built, neither copied nor checked.
-
-        The array's dtype is the mode: object for Fractions, float64 for floats.
-        """
-        m = object.__new__(cls)
-        m._m = arr
-        return m
-
-    @property
-    def order(self) -> int:
-        return self._m.shape[0]
-
-    @property
-    def is_exact(self) -> bool:
-        return self._m.dtype == object
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The backing array; treat as read-only."""
-        return self._m
-
-    def __getitem__(self, key: tuple[int, int]):
-        return self._m[key]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymMatrix):
-            return NotImplemented
-        if self.is_exact != other.is_exact or self.order != other.order:
-            return False
-        return bool((self._m == other._m).all())
-
-    def __repr__(self) -> str:
-        kind = "exact" if self.is_exact else "float"
-        return f"SymMatrix(order={self.order}, {kind})"
-
-    def eigenvalues(self) -> np.ndarray:
-        """Float spectrum, ascending (symmetric eigensolver)."""
-        return np.linalg.eigvalsh(self._m.astype(float))
-
-
-# ---------------------------------------------------------------------------
 # the grounded elimination kernel
 
 
-def _components(lap: SymMatrix) -> list[int]:
-    """Component representative of every vertex: union-find over L's edges.
+def _components(net: Network) -> list[int]:
+    """Component representative of every vertex: union-find over the edge list.
 
-    Every edge of positive, finite conductance leaves a nonzero off-diagonal
-    entry in the Laplacian, so its nonzero pattern is the graph (loops and
-    parallel edges aside, which do not change connectivity).
+    A loop only unions a vertex with itself.  Every edge has a positive,
+    finite conductance, so the edges join exactly the pairs of vertices whose
+    Laplacian entry is nonzero, and no Laplacian is needed.
     """
-    parent = list(range(lap.order))
+    parent = list(range(net.order))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -124,28 +57,27 @@ def _components(lap: SymMatrix) -> list[int]:
             x = parent[x]
         return x
 
-    rows, cols = np.nonzero(lap.entries)
-    for i, j in zip(rows.tolist(), cols.tolist()):
+    for i, j, _ in net._edges:
         parent[find(i)] = find(j)
-    return [find(x) for x in range(lap.order)]
+    return [find(x) for x in range(net.order)]
 
 
-def _integer_form(lap: SymMatrix) -> tuple[list[list[int]], int]:
+def _integer_form(lap: np.ndarray) -> tuple[list[list[int]], int]:
     """(D*L, D) for an exact Laplacian, D the lcm of its entries' denominators."""
-    d = math.lcm(*(x.denominator for x in lap.entries.flat))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in lap.entries], d
+    d = math.lcm(*(x.denominator for x in lap.flat))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in lap], d
 
 
 def _schur(a: list[list[int]], k: int) -> tuple[list[list[int]], int]:
     """Fraction-free (Bareiss) elimination of the first k pivots of an integer matrix.
 
-    Returns the trailing block T and the last pivot p, which is the
+    Eliminates in place, overwriting `a`, so callers pass a matrix built for
+    it.  Returns the trailing block T and the last pivot p, which is the
     determinant of the leading k x k block.  By Sylvester's identity T / p is
     the Schur complement of that block, so every division below is exact.
     There is no pivoting: callers pass matrices whose leading k x k block is
     positive definite, so every pivot is positive.
     """
-    a = [list(row) for row in a]
     prev = 1
     for s in range(k):
         pivot = a[s][s]
@@ -172,7 +104,7 @@ def _cholesky(block: np.ndarray) -> np.ndarray:
     return factor
 
 
-def pinv_laplacian(lap: SymMatrix) -> SymMatrix:
+def pinv_laplacian(net: Network) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a connected network's Laplacian.
 
     Grounds one vertex and inverts the remaining block L0: exact Laplacians
@@ -180,8 +112,8 @@ def pinv_laplacian(lap: SymMatrix) -> SymMatrix:
     bordered matrix [[D*L0, I], [I, 0]]; float ones ground the vertex with the
     largest conductance sum (the lowest index among equals) and use Cholesky.
     Then L+ = P G P, with G the inverse padded with zeros at the ground and
-    P = I - J/N.  Raises DisconnectedNetworkError when the graph of `lap` is
-    not connected.
+    P = I - J/N: a Fraction object array on an exact network, float64
+    otherwise.  Raises DisconnectedNetworkError when `net` is not connected.
 
     The float error does not depend on the overall scale of the conductances.
     It is about machine epsilon times the condition number of L0, which grows
@@ -191,11 +123,12 @@ def pinv_laplacian(lap: SymMatrix) -> SymMatrix:
     rounded into the small ones next to it: on a path of 1e7 and 1e-7 ohms,
     grounding the 1e7-ohm end would cost 2% of the resistance.
     """
-    n = lap.order
-    if len(set(_components(lap))) > 1:
+    n = net.order
+    if len(set(_components(net))) > 1:
         raise DisconnectedNetworkError("network is disconnected")
+    lap = net.laplacian()
     m = n - 1
-    if lap.is_exact:
+    if net.is_exact:
         a, d = _integer_form(lap)
         eye = [[int(i == j) for j in range(m)] for i in range(m)]
         bordered = [row[1:] + e for row, e in zip(a[1:], eye)] + [e + [0] * m for e in eye]
@@ -209,16 +142,16 @@ def pinv_laplacian(lap: SymMatrix) -> SymMatrix:
         scale = det * n * n
         lp = [[Fraction(-d * (n * n * x - n * (si + sj) + total), scale)
                for x, sj in zip(row, sums)] for row, si in zip(t, sums)]
-        return SymMatrix._of(np.array(lp, dtype=object))
+        return np.array(lp, dtype=object)
     g = np.zeros((n, n))
     if m:
-        k = int(np.argmax(lap.entries.diagonal()))
+        k = int(np.argmax(lap.diagonal()))
         # (rows of L0, rows of L) before and after the ground
         parts = ((slice(0, k), slice(0, k)), (slice(k, m), slice(k + 1, n)))
         block = np.empty((m, m))
         for bi, li in parts:
             for bj, lj in parts:
-                block[bi, bj] = lap.entries[li, lj]
+                block[bi, bj] = lap[li, lj]
         # the symmetric block's transpose is Fortran-ordered, so LAPACK
         # factors and inverts it in place
         inv, _ = lapack.dpotri(_cholesky(block.T), overwrite_c=1)
@@ -232,7 +165,7 @@ def pinv_laplacian(lap: SymMatrix) -> SymMatrix:
     for _ in range(2):
         g -= g.mean(axis=1, keepdims=True)
         g -= g.mean(axis=0, keepdims=True)
-    return SymMatrix._of((g + g.T) / 2.0)
+    return (g + g.T) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +208,8 @@ class Network:
                                  f"and a finite conductance, got r = {r}")
             indexed.append((self._index[u], self._index[v], r))
         self._edges = tuple(indexed)
-        self._lap: SymMatrix | None = None
-        self._pinv: SymMatrix | None = None
+        self._lap: np.ndarray | None = None
+        self._pinv: np.ndarray | None = None
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -288,7 +221,7 @@ class Network:
             yield (self._vertices[iu], self._vertices[iv], r)
 
     @property
-    def vertex_count(self) -> int:
+    def order(self) -> int:
         return len(self._vertices)
 
     @property
@@ -307,16 +240,18 @@ class Network:
 
     def __repr__(self) -> str:
         mode = "exact" if self._exact else "float"
-        return f"Network({self.vertex_count} vertices, {self.edge_count} edges, {mode})"
+        return f"Network({self.order} vertices, {self.edge_count} edges, {mode})"
 
-    def laplacian(self) -> SymMatrix:
+    def laplacian(self) -> np.ndarray:
         """Weighted graph Laplacian (conductance = 1/resistance; loops ignored).
 
-        A float sum of parallel conductances past the binary64 range is inf,
-        without a warning: the Cholesky factorization then reports it.
+        A Fraction object array on an exact network, float64 otherwise; it is
+        cached, and so read-only.  A float sum of parallel conductances past
+        the binary64 range is inf, without a warning: the Cholesky
+        factorization then reports it.
         """
         if self._lap is None:
-            n = self.vertex_count
+            n = self.order
             rows = np.full((n, n), Fraction(0), dtype=object) if self._exact else np.zeros((n, n))
             with np.errstate(over="ignore"):
                 for iu, iv, r in self._edges:
@@ -327,13 +262,16 @@ class Network:
                     rows[iv, iv] += g
                     rows[iu, iv] -= g
                     rows[iv, iu] -= g
-            self._lap = SymMatrix._of(rows)
+            rows.flags.writeable = False
+            self._lap = rows
         return self._lap
 
-    def pseudoinverse(self) -> SymMatrix:
-        """Cached pinv_laplacian of this network's Laplacian."""
+    def pseudoinverse(self) -> np.ndarray:
+        """pinv_laplacian of this network, cached and read-only."""
         if self._pinv is None:
-            self._pinv = pinv_laplacian(self.laplacian())
+            pinv = pinv_laplacian(self)
+            pinv.flags.writeable = False
+            self._pinv = pinv
         return self._pinv
 
     def to_float(self) -> "Network":
@@ -360,8 +298,8 @@ def resistance_oracle(net: Network, u: str, v: str):
 def kirchhoff_oracle(net: Network):
     """Sum of effective resistances over all vertex pairs: N * trace(L+)."""
     lp = net.pseudoinverse()
-    total = sum(lp[i, i] for i in range(net.vertex_count))
-    return net.vertex_count * total
+    total = sum(lp[i, i] for i in range(net.order))
+    return net.order * total
 
 
 def matrix_tree_count(net: Network):
@@ -375,11 +313,10 @@ def matrix_tree_count(net: Network):
     """
     if not net.is_exact:
         raise TypeError("matrix-tree counting requires an exact network")
-    lap = net.laplacian()
-    if len(set(_components(lap))) > 1:
+    if len(set(_components(net))) > 1:
         return 0
-    a, d = _integer_form(lap)
-    m = net.vertex_count - 1
+    a, d = _integer_form(net.laplacian())
+    m = net.order - 1
     _, det = _schur([row[1:] for row in a[1:]], m)
     count = Fraction(det, d ** m)
     return count.numerator if count.denominator == 1 else count
@@ -404,19 +341,19 @@ def kron_reduce(net: Network, keep: Sequence[str]) -> Network:
     if len(set(kidx)) != len(kidx):
         raise ValueError("keep contains duplicate vertices")
 
-    lap = net.laplacian()
-    roots = _components(lap)
+    roots = _components(net)
     if not set(roots) <= {roots[k] for k in kidx}:
         raise DisconnectedNetworkError("interior vertices have no path to any kept vertex")
+    lap = net.laplacian()
     kept = set(kidx)
-    order = [i for i in range(net.vertex_count) if i not in kept] + kidx
-    inner = net.vertex_count - len(kidx)
+    perm = [i for i in range(net.order) if i not in kept] + kidx
+    inner = net.order - len(kidx)
     if net.is_exact:
         a, d = _integer_form(lap)
-        t, pivot = _schur([[a[i][j] for j in order] for i in order], inner)
+        t, pivot = _schur([[a[i][j] for j in perm] for i in perm], inner)
         conductance = [[Fraction(-x, pivot * d) for x in row] for row in t]
     else:
-        a = lap.entries[np.ix_(order, order)]
+        a = lap[np.ix_(perm, perm)]
         schur = a[inner:, inner:]
         if inner:
             solved, _ = lapack.dpotrs(_cholesky(a[:inner, :inner]), a[:inner, inner:])

@@ -96,7 +96,7 @@ def test_criterion_06_spectral_route(prisms):
             assert abs(got - target) <= 1e-9 * target, n
         for n in range(3, 51):
             analytic = np.array(pr.prism_eigenvalues(n).values)
-            numeric = prisms(n).laplacian().eigenvalues()
+            numeric = np.linalg.eigvalsh(prisms(n).laplacian().astype(float))
             assert np.abs(analytic - numeric).max() <= 1e-8, n
 
 
@@ -118,7 +118,9 @@ def test_criterion_08_kron_reduction_fidelity(prisms):
                 reduced = pr.kron_reduce(net, keep)
                 stencil = pr.EightTerminalStencil.for_prism(n, i)
                 red_lap = reduced.laplacian()
-                assert stencil.laplacian() == red_lap, (n, i)
+                stencil_lap = stencil.laplacian()
+                assert stencil_lap.dtype == red_lap.dtype == object, (n, i)
+                assert np.array_equal(stencil_lap, red_lap), (n, i)
                 assert red_lap[0, 0] == stencil.lower_corner_degree, (n, i)
                 assert red_lap[2, 2] == stencil.upper_corner_degree, (n, i)
                 for a in range(8):
@@ -137,9 +139,9 @@ def test_criterion_09_foster_edge_sum(prisms):
 
 def _exact_penrose_holds(net) -> bool:
     """L L+ L == L and L+ 1 == 0, exploiting the sparsity of L."""
-    lap = net.laplacian().entries
-    pinv = net.pseudoinverse().entries
-    order = net.vertex_count
+    lap = net.laplacian()
+    pinv = net.pseudoinverse()
+    order = net.order
     sparse = [[(j, lap[i, j]) for j in range(order) if lap[i, j] != 0] for i in range(order)]
     if any(sum(row) != 0 for row in pinv):
         return False
@@ -159,8 +161,8 @@ def test_criterion_10_pseudoinverse_contract(prisms, ladders, float_prisms, floa
             assert _exact_penrose_holds(prisms(n)), f"prism n={n}"
             assert _exact_penrose_holds(ladders(n)), f"ladder n={n}"
         for net in (float_prisms(500), float_ladders(500)):
-            lap = net.laplacian().entries
-            pinv = net.pseudoinverse().entries
+            lap = net.laplacian()
+            pinv = net.pseudoinverse()
             assert np.abs(lap @ pinv @ lap - lap).max() <= 1e-10
             assert np.abs(pinv.sum(axis=1)).max() <= 1e-10
 

@@ -14,7 +14,6 @@ from prismres.network import (
     DisconnectedNetworkError,
     Network,
     SingularMatrixError,
-    SymMatrix,
     build_ladder,
     build_prism,
     kirchhoff_oracle,
@@ -41,13 +40,20 @@ def _random_connected(rng: random.Random, size: int) -> Network:
     return Network(labels, edges)
 
 
+def _assert_exact_equal(got: np.ndarray, rows) -> None:
+    """`got` is a Fraction object array equal to `rows`."""
+    assert got.dtype == object
+    assert all(type(x) is Fraction for x in got.flat)
+    assert np.array_equal(got, rows)
+
+
 # -- construction ---------------------------------------------------------
 
 
 def test_build_prism_shape():
     for n in (1, 2, 3, 7):
         net = build_prism(n)
-        assert net.vertex_count == 2 * n
+        assert net.order == 2 * n
         assert net.edge_count == 3 * n
         assert net.is_exact
     with pytest.raises(ValueError):
@@ -67,7 +73,7 @@ def test_build_prism_degenerate_multigraphs():
 def test_build_ladder_shape():
     for n in (1, 2, 5):
         net = build_ladder(n)
-        assert net.vertex_count == 2 * n
+        assert net.order == 2 * n
         assert net.edge_count == 3 * n - 2
     with pytest.raises(ValueError):
         build_ladder(0)
@@ -115,75 +121,42 @@ def test_to_float_shares_topology():
 
 def test_laplacian_single_edge():
     net = Network(["a", "b"], [("a", "b", 1)])
-    assert net.laplacian() == SymMatrix([[1, -1], [-1, 1]])
+    _assert_exact_equal(net.laplacian(), [[1, -1], [-1, 1]])
 
 
 def test_laplacian_ignores_loops():
     rung_only = Network(["p1", "q1"], [("p1", "q1", 1)])
-    assert build_prism(1).laplacian() == rung_only.laplacian()
+    assert np.array_equal(build_prism(1).laplacian(), rung_only.laplacian())
 
 
 def test_laplacian_doubled_edges_accumulate():
-    expected = SymMatrix([
+    expected = [
         [3, -2, -1, 0],
         [-2, 3, 0, -1],
         [-1, 0, 3, -2],
         [0, -1, -2, 3],
-    ])
-    assert build_prism(2).laplacian() == expected
+    ]
+    _assert_exact_equal(build_prism(2).laplacian(), expected)
 
 
 def test_laplacian_row_sums():
-    assert all(sum(row) == 0 for row in build_prism(5).laplacian().entries)
-    float_sums = build_prism(5).to_float().laplacian().entries.sum(axis=1)
+    assert all(sum(row) == 0 for row in build_prism(5).laplacian())
+    float_sums = build_prism(5).to_float().laplacian().sum(axis=1)
     assert max(abs(s) for s in float_sums) <= 1e-12
 
 
 def test_laplacian_weighted():
     net = Network(["a", "b"], [("a", "b", Fraction(1, 4))])
-    assert net.laplacian() == SymMatrix([[4, -4], [-4, 4]])
-
-
-# -- SymMatrix ------------------------------------------------------------
-
-
-def test_sym_matrix_modes_and_equality():
-    exact = SymMatrix([[1, 2], [2, 1]])
-    assert exact.is_exact
-    assert exact[0, 1] == Fraction(2)
-    floaty = SymMatrix([[1.0, 2.0], [2.0, 1.0]])
-    assert not floaty.is_exact
-    assert exact != floaty
-    assert exact == SymMatrix([[Fraction(1), 2], [2, 1]])
-
-
-def test_sym_matrix_rejects_bad_shapes():
-    # not square, then asymmetric, in exact and in float mode
-    for rows in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4]],
-                 [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [[1.0, 2.0], [3.0, 4.0]]):
-        with pytest.raises(ValueError):
-            SymMatrix(rows)
-
-
-def test_sym_matrix_int_array_is_exact():
-    m = SymMatrix(np.array([[1, -1], [-1, 1]]))
-    assert m.is_exact
-    assert m == SymMatrix([[1, -1], [-1, 1]])
-    assert type(m[0, 1]) is Fraction and type(m[0, 1].numerator) is int
-
-
-def test_sym_matrix_eigenvalues_sorted():
-    eig = SymMatrix([[2, -1], [-1, 2]]).eigenvalues()
-    assert np.allclose(eig, [1.0, 3.0])
+    _assert_exact_equal(net.laplacian(), [[4, -4], [-4, 4]])
 
 
 # -- pseudoinverse --------------------------------------------------------
 
 
 def test_pinv_single_edge():
-    lp = pinv_laplacian(SymMatrix([[1, -1], [-1, 1]]))
+    lp = pinv_laplacian(Network(["a", "b"], [("a", "b", 1)]))
     quarter = Fraction(1, 4)
-    assert lp == SymMatrix([[quarter, -quarter], [-quarter, quarter]])
+    _assert_exact_equal(lp, [[quarter, -quarter], [-quarter, quarter]])
 
 
 def test_pinv_triangle():
@@ -195,8 +168,8 @@ def test_pinv_triangle():
 
 def test_pinv_penrose_identities_small(prisms, ladders):
     for net in (prisms(4), ladders(5)):
-        lap = net.laplacian().entries
-        lp = net.pseudoinverse().entries
+        lap = net.laplacian()
+        lp = net.pseudoinverse()
         assert not (lap @ lp @ lap - lap).any()
         assert not (lp @ lap @ lp - lp).any()
         assert all(sum(row) == 0 for row in lp)
@@ -204,8 +177,8 @@ def test_pinv_penrose_identities_small(prisms, ladders):
 
 def test_pinv_float_residual(float_prisms):
     net = float_prisms(40)
-    lap = net.laplacian().entries
-    lp = net.pseudoinverse().entries
+    lap = net.laplacian()
+    lp = net.pseudoinverse()
     assert np.abs(lap @ lp @ lap - lap).max() <= 1e-10
 
 
@@ -219,6 +192,30 @@ def test_pinv_disconnected():
         resistance_oracle(two, "a", "c")
     with pytest.raises(DisconnectedNetworkError):
         resistance_oracle(two, "a", "a")
+
+
+def test_connectivity_is_read_off_the_edges(monkeypatch):
+    two = Network(list("abcd"), [("a", "b", 1), ("c", "d", 1)])
+
+    def no_laplacian(self):
+        raise AssertionError("built a Laplacian to decide connectivity")
+
+    monkeypatch.setattr(Network, "laplacian", no_laplacian)
+    assert matrix_tree_count(two) == 0
+    for net in (two, two.to_float()):
+        with pytest.raises(DisconnectedNetworkError):
+            net.pseudoinverse()
+        with pytest.raises(DisconnectedNetworkError):
+            kron_reduce(net, ["a", "b"])  # c and d have no path to a kept vertex
+
+
+def test_cached_arrays_are_read_only():
+    for net in (build_prism(3), build_prism(3).to_float()):
+        before = resistance_oracle(net, "p1", "q2")
+        for cached in (net.laplacian(), net.pseudoinverse()):
+            with pytest.raises(ValueError):
+                cached[0, 0] = 5
+        assert resistance_oracle(net, "p1", "q2") == before
 
 
 def test_pinv_float_overflow_is_singular_not_disconnected():
@@ -336,7 +333,7 @@ def test_kron_star_to_triangle():
 def test_kron_keep_everything_merges_parallels(prisms):
     y2 = prisms(2)
     reduced = kron_reduce(y2, list(y2.vertices))
-    assert reduced.laplacian() == y2.laplacian()
+    assert np.array_equal(reduced.laplacian(), y2.laplacian())
     assert reduced.edge_count == 4  # doubled edges merged, loops gone
 
 
@@ -469,7 +466,7 @@ def test_scale_invariance_randomized():
 def test_four_corner_matches_kron(ladders):
     for n in range(2, 11):
         reduced = kron_reduce(ladders(n), [f"p{n}", f"q{n}", "p1", "q1"])
-        assert four_corner_laplacian(ladder_delta_edges(n)) == reduced.laplacian()
+        assert np.array_equal(four_corner_laplacian(ladder_delta_edges(n)), reduced.laplacian())
 
 
 def test_stencil_matches_full_reduction(prisms):
@@ -477,8 +474,8 @@ def test_stencil_matches_full_reduction(prisms):
     keep = ["p1", "p3", "p4", "p6", "q1", "q3", "q4", "q6"]
     reduced = kron_reduce(net, keep)
     stencil = EightTerminalStencil.for_prism(6, 4)
-    assert stencil.laplacian() == reduced.laplacian()
-    assert stencil.network().vertex_count == 8
+    assert np.array_equal(stencil.laplacian(), reduced.laplacian())
+    assert stencil.network().order == 8
 
 
 def test_stencil_corner_degrees():
@@ -517,7 +514,7 @@ def test_json_round_trip_exact():
     back = network_from_json(doc)
     assert back.vertices == net.vertices
     assert list(back.edges) == list(net.edges)
-    assert back.laplacian() == net.laplacian()
+    assert np.array_equal(back.laplacian(), net.laplacian())
 
 
 def test_json_round_trip_float():

@@ -325,7 +325,7 @@ def test_eigenvalues_tiny_prisms():
 def test_eigenvalues_match_numeric(prisms):
     for n in (1, 2, 3, 7, 12):
         analytic = np.array(prism_eigenvalues(n).values)
-        numeric = prisms(n).laplacian().eigenvalues()
+        numeric = np.linalg.eigvalsh(prisms(n).laplacian().astype(float))
         assert np.abs(analytic - numeric).max() <= 1e-8
 
 
