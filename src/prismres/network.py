@@ -5,11 +5,12 @@ whose edges carry positive resistances, either all exact rationals or all
 binary64 floats.  Everything observable about it flows through the graph
 Laplacian L.  Whether the graph is connected is read off the edge list by
 union-find, never from L or a pivot.  Once it is, L with one vertex grounded
-(its row and column deleted) is positive definite, and one elimination
-without pivoting answers every question: exact networks scale L to an
-integer matrix and run fraction-free (Bareiss) elimination, float networks
-factor with Cholesky.  L and L+ are plain NumPy arrays: Fraction object
-arrays on exact networks, float64 on float ones.
+is positive definite, and one elimination without pivoting answers every
+question: exact networks delete the ground's row and column, scale L to an
+integer matrix and run fraction-free (Bareiss) elimination; float networks
+ground in place, giving the ground the row and column of the identity, and
+factor the whole matrix with Cholesky.  L and L+ are plain NumPy arrays:
+Fraction object arrays on exact networks, float64 on float ones.
 
 * Effective resistances and the Kirchhoff index come from the Moore-Penrose
   pseudoinverse L+ = P G P, where G is the inverse of the grounded block,
@@ -92,12 +93,19 @@ def _schur(a: list[list[int]], k: int) -> tuple[list[list[int]], int]:
     return [row[k:] for row in a[k:]], prev
 
 
-def _cholesky(block: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor of a positive definite float block.
+def _cholesky(lap: np.ndarray, ground: Sequence[int]) -> np.ndarray:
+    """Upper Cholesky factor of a float Laplacian grounded in place.
 
-    A Fortran-contiguous block is factored in place; any other is copied.
+    Copies `lap` and gives each vertex in `ground` the row and column of the
+    identity, which is positive definite whenever every other vertex has a
+    path to the ground.  The copy's transpose is Fortran-ordered, so LAPACK
+    factors it in place, and the factor is Fortran-ordered as well.
     """
-    factor, info = lapack.dpotrf(block, overwrite_a=1)
+    a = np.array(lap)
+    a[ground, :] = 0.0
+    a[:, ground] = 0.0
+    a[ground, ground] = 1.0
+    factor, info = lapack.dpotrf(a.T, overwrite_a=1)
     if info != 0 or not np.isfinite(factor).all():
         raise SingularMatrixError("binary64 Cholesky factorization failed: the conductances are "
                                   "too far apart or too large for floats; use exact resistances")
@@ -108,12 +116,15 @@ def pinv_laplacian(net: Network) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a connected network's Laplacian.
 
     Grounds one vertex and inverts the remaining block L0: exact Laplacians
-    ground vertex 0 and read -(D*L0)^-1 off the Schur complement of the
-    bordered matrix [[D*L0, I], [I, 0]]; float ones ground the vertex with the
-    largest conductance sum (the lowest index among equals) and use Cholesky.
-    Then L+ = P G P, with G the inverse padded with zeros at the ground and
-    P = I - J/N: a Fraction object array on an exact network, float64
-    otherwise.  Raises DisconnectedNetworkError when `net` is not connected.
+    ground vertex 0 by deleting its row and column, and read -(D*L0)^-1 off
+    the Schur complement of the bordered matrix [[D*L0, I], [I, 0]].  Float
+    ones ground the vertex with the largest conductance sum (the lowest index
+    among equals) in place, as a row and column of the identity, and invert
+    the whole matrix by Cholesky; the inverse is L0^-1 around a 1 at the
+    ground, which is then zeroed.  Then L+ = P G P, with G the inverse of L0
+    padded with zeros at the ground and P = I - J/N: a Fraction object array
+    on an exact network, float64 otherwise.  Raises DisconnectedNetworkError
+    when `net` is not connected.
 
     The float error does not depend on the overall scale of the conductances.
     It is about machine epsilon times the condition number of L0, which grows
@@ -143,24 +154,12 @@ def pinv_laplacian(net: Network) -> np.ndarray:
         lp = [[Fraction(-d * (n * n * x - n * (si + sj) + total), scale)
                for x, sj in zip(row, sums)] for row, si in zip(t, sums)]
         return np.array(lp, dtype=object)
-    g = np.zeros((n, n))
-    if m:
-        k = int(np.argmax(lap.diagonal()))
-        # (rows of L0, rows of L) before and after the ground
-        parts = ((slice(0, k), slice(0, k)), (slice(k, m), slice(k + 1, n)))
-        block = np.empty((m, m))
-        for bi, li in parts:
-            for bj, lj in parts:
-                block[bi, bj] = lap[li, lj]
-        # the symmetric block's transpose is Fortran-ordered, so LAPACK
-        # factors and inverts it in place
-        inv, _ = lapack.dpotri(_cholesky(block.T), overwrite_c=1)
-        # potri fills the upper triangle; the lower one stays zero
-        full = inv + inv.T
-        np.fill_diagonal(full, inv.diagonal())
-        for bi, li in parts:
-            for bj, lj in parts:
-                g[li, lj] = full[bi, bj]
+    k = int(np.argmax(lap.diagonal()))
+    inv, _ = lapack.dpotri(_cholesky(lap, [k]), overwrite_c=1)
+    # potri fills the upper triangle; the lower one stays zero
+    g = inv + inv.T
+    np.fill_diagonal(g, inv.diagonal())
+    g[k, k] = 0.0
     # centring rows, then columns, twice keeps the row sums near rounding level
     for _ in range(2):
         g -= g.mean(axis=1, keepdims=True)
@@ -325,9 +324,12 @@ def matrix_tree_count(net: Network):
 def kron_reduce(net: Network, keep: Sequence[str]) -> Network:
     """Collapse a network onto `keep`, preserving their pairwise resistances.
 
-    Eliminates the interior vertices first (exact: `_schur` on D*L, float:
-    Cholesky of the interior block) and reads the surviving edges off the
-    Schur complement onto the kept vertices, in the order given.  An entry is
+    Eliminates the interior vertices first and reads the surviving edges off
+    the Schur complement onto the kept vertices, in the order given.  Exact
+    networks run `_schur` on D*L with the kept vertices permuted last.  Float
+    ones ground the kept vertices in place, so one Cholesky solve against the
+    kept columns of L (their kept rows zeroed) gives the interior's share
+    L_II^-1 L_IK, with exact zeros at the kept rows.  An entry is
     exactly zero when no path joins its two vertices through the interior,
     and that pair gets no edge.  Any other entry is nonzero, and in float
     mode it is a sum of terms of one sign, so it cannot round to zero.  Raises
@@ -345,19 +347,17 @@ def kron_reduce(net: Network, keep: Sequence[str]) -> Network:
     if not set(roots) <= {roots[k] for k in kidx}:
         raise DisconnectedNetworkError("interior vertices have no path to any kept vertex")
     lap = net.laplacian()
-    kept = set(kidx)
-    perm = [i for i in range(net.order) if i not in kept] + kidx
-    inner = net.order - len(kidx)
     if net.is_exact:
+        kept = set(kidx)
+        perm = [i for i in range(net.order) if i not in kept] + kidx
         a, d = _integer_form(lap)
-        t, pivot = _schur([[a[i][j] for j in perm] for i in perm], inner)
+        t, pivot = _schur([[a[i][j] for j in perm] for i in perm], net.order - len(kidx))
         conductance = [[Fraction(-x, pivot * d) for x in row] for row in t]
     else:
-        a = lap[np.ix_(perm, perm)]
-        schur = a[inner:, inner:]
-        if inner:
-            solved, _ = lapack.dpotrs(_cholesky(a[:inner, :inner]), a[:inner, inner:])
-            schur = schur - a[inner:, :inner] @ solved
+        rhs = lap[:, kidx]
+        rhs[kidx, :] = 0.0
+        solved, _ = lapack.dpotrs(_cholesky(lap, kidx), rhs)
+        schur = lap[np.ix_(kidx, kidx)] - lap[kidx, :] @ solved
         conductance = -(schur + schur.T) / 2.0
 
     edges = []

@@ -29,7 +29,7 @@ from .ladder import ladder_params
 KINDS = ("pp", "pq")
 MODES = ("exact", "float")
 
-_VERTEX_RE = re.compile(r"^([pq])([1-9]\d*)$")
+_VERTEX_RE = re.compile(r"([pq])([1-9][0-9]*)")
 
 
 class PrismVertex(namedtuple("PrismVertex", "ring pos")):
@@ -46,7 +46,7 @@ class PrismVertex(namedtuple("PrismVertex", "ring pos")):
 
     @classmethod
     def parse(cls, label: str) -> "PrismVertex":
-        m = _VERTEX_RE.match(label)
+        m = _VERTEX_RE.fullmatch(label)
         if m is None:
             raise ValueError(f"bad vertex label {label!r}; expected e.g. 'p3' or 'q12'")
         return cls(m.group(1), int(m.group(2)))

@@ -181,7 +181,7 @@ def run_checks(n_max: int = 10, tol: float = 1e-9) -> list[CheckResult]:
         pairs = 0
         for n in sizes:
             net = prisms[n].to_float()
-            for i in range(2, n + 1):
+            for i in range(1, n + 1):
                 for kind, other in (("pp", f"p{i}"), ("pq", f"q{i}")):
                     expect = resistance_oracle(net, "p1", other)
                     got = prism_resistance_base(n, i, kind, "float")

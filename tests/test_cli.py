@@ -66,6 +66,8 @@ def test_resistance_same_vertex(capsys):
 def test_resistance_rejects_bad_input(capsys):
     for argv in (("resistance", "3", "p9", "q1"),
                  ("resistance", "3", "x1", "q1"),
+                 ("resistance", "3", "p1\n", "q2"),
+                 ("resistance", "3", "p1\u0662", "q2"),
                  ("resistance", "0", "p1", "q1")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

@@ -182,6 +182,16 @@ def test_pinv_float_residual(float_prisms):
     assert np.abs(lap @ lp @ lap - lap).max() <= 1e-10
 
 
+def test_one_vertex_network():
+    for r in (1, 1.0):
+        net = Network(["a"], [("a", "a", r)])  # the loop only sets the mode
+        assert net.is_exact == isinstance(r, int)
+        lp = net.pseudoinverse()
+        assert np.array_equal(lp, [[0]]) and lp.dtype == (object if net.is_exact else float)
+        assert kirchhoff_oracle(net) == 0
+        assert resistance_oracle(net, "a", "a") == 0
+
+
 def test_pinv_disconnected():
     two = Network(list("abcd"), [("a", "b", 1), ("c", "d", 1)])
     with pytest.raises(DisconnectedNetworkError):
@@ -331,10 +341,11 @@ def test_kron_star_to_triangle():
 
 
 def test_kron_keep_everything_merges_parallels(prisms):
-    y2 = prisms(2)
-    reduced = kron_reduce(y2, list(y2.vertices))
-    assert np.array_equal(reduced.laplacian(), y2.laplacian())
-    assert reduced.edge_count == 4  # doubled edges merged, loops gone
+    for y2 in (prisms(2), prisms(2).to_float()):
+        reduced = kron_reduce(y2, list(y2.vertices))
+        assert reduced.is_exact == y2.is_exact
+        assert np.array_equal(reduced.laplacian(), y2.laplacian())
+        assert reduced.edge_count == 4  # doubled edges merged, loops gone
 
 
 def test_kron_preserves_resistances_randomized():
@@ -458,6 +469,44 @@ def test_scale_invariance_randomized():
             fkron = list(kron_reduce(fscaled, keep).edges)
             assert [e[:2] for e in fkron] == [e[:2] for e in kron], k
             assert all(close(fx, x, s) for (_, _, fx), (_, _, x) in zip(fkron, kron)), k
+
+
+def test_float_error_within_conditioning_bound():
+    # Cholesky's error does not change under diagonal scaling (van der Sluis),
+    # so it is governed by kappa(S), S = D^-1/2 L0 D^-1/2 with D = diag(L0),
+    # not by kappa(L0), which the spread of the conductances inflates.
+    # First order in the backward error dS, |dr| <= |dS| |y|^2 <= N eps
+    # kappa(S) r; centring and the three-term sum round at the size of L+'s
+    # entries, N eps max|L+|.  Resistances are powers of two, so the float
+    # network is exactly the exact one.
+    eps = np.finfo(float).eps
+    rng = random.Random(5)
+    for _ in range(8):
+        size = rng.randrange(2, 61)
+        labels = [f"v{k}" for k in range(size)]
+
+        def pick():
+            return Fraction(2) ** rng.randint(-16, 16)  # 10^+-5 ohms
+
+        edges = [(labels[k], labels[rng.randrange(k)], pick()) for k in range(1, size)]
+        edges += [(rng.choice(labels), rng.choice(labels), pick()) for _ in range(size)]
+        net = Network(labels, edges)
+        fnet = net.to_float()
+        lap = fnet.laplacian()
+        k = int(np.argmax(lap.diagonal()))  # the float path's ground
+        l0 = np.delete(np.delete(lap, k, 0), k, 1)
+        d = 1.0 / np.sqrt(l0.diagonal())
+        kappa = np.linalg.cond(l0 * np.outer(d, d))
+        lx, lf = net.pseudoinverse(), fnet.pseudoinverse()
+        scale = size * eps * np.abs(lf).max()
+        for i in range(size):
+            for j in range(i + 1, size):
+                r = lx[i, i] - 2 * lx[i, j] + lx[j, j]
+                got = lf[i, i] - 2 * lf[i, j] + lf[j, j]
+                assert abs(got - float(r)) <= size * eps * kappa * float(r) + scale, (size, i, j)
+        keep = rng.sample(labels, min(size, 3))
+        assert ([e[:2] for e in kron_reduce(fnet, keep).edges]
+                == [e[:2] for e in kron_reduce(net, keep).edges])
 
 
 # -- the eight-terminal stencil and four-corner assembly ------------------

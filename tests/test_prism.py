@@ -36,7 +36,8 @@ def test_vertex_parse_and_label():
 
 
 def test_vertex_parse_rejects():
-    for bad in ("", "p0", "r3", "p", "3p", "p-1", "p1.5", "p01"):
+    # a trailing newline and a non-ASCII digit (Arabic-Indic two) are not labels
+    for bad in ("", "p0", "r3", "p", "3p", "p-1", "p1.5", "p01", "p1\n", "p1\u0662", " p1"):
         with pytest.raises(ValueError):
             PrismVertex.parse(bad)
     with pytest.raises(ValueError):
