@@ -7,8 +7,9 @@ recomputes everything from Laplacian pseudoinverses so the two routes can be
 compared at full precision.
 
 The oracle (network) and the checks that join the two routes (verify) need
-NumPy and SciPy, which take most of a second to import.  Their names are
-resolved on first use, so the closed forms load only the standard library.
+NumPy, and SciPy's LAPACK once a float network is factored; together they
+take most of a second to import.  Their names are resolved on first use, so
+the closed forms load only the standard library.
 """
 
 import importlib as _importlib
@@ -55,7 +56,7 @@ from .prism import (
     trig_sum,
 )
 
-# the public names of the two modules that import NumPy and SciPy
+# the public names of the two modules that import NumPy
 _LAZY = {
     "network": (
         "DisconnectedNetworkError", "Network", "SingularMatrixError",

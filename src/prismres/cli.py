@@ -14,10 +14,13 @@ stdout.  Run as a program, the elapsed time starts with the import of the
 prismres package, so it counts imports and parsing; called in-process
 through main(), it starts with the call.  Exit codes: 0 success, 1 honest
 negative (failed verification, disconnected network, a float network
-binary64 cannot factor), 2 malformed input.
+binary64 cannot factor, a float closed form whose n binary64 cannot hold),
+2 malformed input.
 
 Only net, verify and kirchhoff --method oracle import the oracle, and with
-it NumPy and SciPy; the closed-form commands load the standard library alone.
+it NumPy; SciPy loads only once a float network is factored, which verify
+and kirchhoff --method oracle always do.  The closed-form commands load the
+standard library alone.
 """
 
 from __future__ import annotations
@@ -243,7 +246,7 @@ def _main(argv, start: float) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except _oracle_errors() as exc:
+    except (OverflowError, *_oracle_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, TypeError, OSError) as exc:

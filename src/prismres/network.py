@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 
 class DisconnectedNetworkError(ValueError):
@@ -101,6 +100,8 @@ def _cholesky(lap: np.ndarray, ground: Sequence[int]) -> np.ndarray:
     path to the ground.  The copy's transpose is Fortran-ordered, so LAPACK
     factors it in place, and the factor is Fortran-ordered as well.
     """
+    from scipy.linalg import lapack
+
     a = np.array(lap)
     a[ground, :] = 0.0
     a[:, ground] = 0.0
@@ -154,6 +155,8 @@ def pinv_laplacian(net: Network) -> np.ndarray:
         lp = [[Fraction(-d * (n * n * x - n * (si + sj) + total), scale)
                for x, sj in zip(row, sums)] for row, si in zip(t, sums)]
         return np.array(lp, dtype=object)
+    from scipy.linalg import lapack
+
     k = int(np.argmax(lap.diagonal()))
     inv, _ = lapack.dpotri(_cholesky(lap, [k]), overwrite_c=1)
     # potri fills the upper triangle; the lower one stays zero
@@ -354,6 +357,8 @@ def kron_reduce(net: Network, keep: Sequence[str]) -> Network:
         t, pivot = _schur([[a[i][j] for j in perm] for i in perm], net.order - len(kidx))
         conductance = [[Fraction(-x, pivot * d) for x in row] for row in t]
     else:
+        from scipy.linalg import lapack
+
         rhs = lap[:, kidx]
         rhs[kidx, :] = 0.0
         solved, _ = lapack.dpotrs(_cholesky(lap, kidx), rhs)

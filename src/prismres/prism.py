@@ -11,8 +11,9 @@ k + 1 = n // 2 + 1 is needed, and each value is one Fraction over a common
 denominator of about n bits, reduced by one gcd.  The field route
 (prism_resistance_base, prism_resistance_via_reduction, prism_pair_sum)
 computes the same values in Q(sqrt 3) and certifies them rational; it is kept
-as the independent check of the integer one.  Each value also has a float
-route so the exact and numeric paths can check each other.
+as the independent check of the integer one and is exact only.  The float
+resistances that prism_resistance and resistance_table serve come from one
+binary64 evaluation of the base form, _float_base.
 """
 
 from __future__ import annotations
@@ -65,39 +66,44 @@ def _check_args(n: int, i: int, kind: str) -> None:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def prism_resistance_base(n: int, i: int, kind: str, mode: str = "exact"):
-    """r(p1, p_i) for kind "pp" or r(p1, q_i) for kind "pq", on the n-prism.
+def prism_resistance_base(n: int, i: int, kind: str) -> Fraction:
+    """Exact r(p1, p_i) for kind "pp" or r(p1, q_i) for kind "pq", on the n-prism.
 
     With x = 2 - sqrt3, m = n - i + 1 and l = i - 1,
 
         r = m l/(2n) + (1 + x^n -/+ (x^m + x^l)) / (2 sqrt3 (1 - x^n)),
 
-    minus for "pp", plus for "pq".  Exact mode evaluates it in Q(sqrt 3) from
-    powers of x alone, so it never calls the integer kernel it checks, and
-    certifies that the sqrt(3) component cancels, returning a Fraction; float
-    mode evaluates the same expression in binary64.
+    minus for "pp", plus for "pq".  It is evaluated in Q(sqrt 3) from powers
+    of x alone, so it never calls the integer kernel it checks, with
+    x^n = x^m x^l since m + l = n; the sqrt(3) component is certified to
+    cancel and the result is a Fraction.
     """
     _check_args(n, i, kind)
     m, l = n - i + 1, i - 1
-    if mode == "float":
-        x, root3, flat = 2.0 - SQRT3, SQRT3, m * l / (2.0 * n)
-    elif mode == "exact":
-        x, root3, flat = TWO_MINUS_SQRT3, Qsqrt3(0, 1), Fraction(m * l, 2 * n)
-    else:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    xm, xl = x ** m, x ** l
-    # m + l = n, so in exact mode the third power is one product; float mode
-    # keeps its own x ** n, whose rounding differs from that of the product
-    xn = xm * xl if mode == "exact" else x ** n
+    xm, xl = TWO_MINUS_SQRT3 ** m, TWO_MINUS_SQRT3 ** l
+    xn = xm * xl
     tail = xm + xl
     if kind == "pp":
         tail = -tail
-    total = (1 + xn + tail) / (2 * root3 * (1 - xn)) + flat
-    if mode == "float":
-        return total
+    total = (1 + xn + tail) / (2 * Qsqrt3(0, 1) * (1 - xn)) + Fraction(m * l, 2 * n)
     if not total.is_rational:
         raise ArithmeticError(f"sqrt(3) component failed to cancel for n={n}, i={i}, {kind}")
     return total.as_rational()
+
+
+def _float_base(n: int, i: int, kind: str) -> float:
+    """prism_resistance_base's form in binary64: the served float values.
+
+    prism_resistance and resistance_table return these for mode "float", and
+    they are not correctly rounded.  The arguments are assumed valid.
+    """
+    m, l = n - i + 1, i - 1
+    x = 2.0 - SQRT3
+    xm, xl, xn = x ** m, x ** l, x ** n
+    tail = xm + xl
+    if kind == "pp":
+        tail = -tail
+    return (1 + xn + tail) / (2 * SQRT3 * (1 - xn)) + m * l / (2.0 * n)
 
 
 def _unit(k: int) -> tuple[int, int]:
@@ -152,7 +158,7 @@ def prism_resistance(n: int, u: "PrismVertex | str", v: "PrismVertex | str",
     pairs to (p1, p_i), cross-ring pairs to (p1, q_i), with the offset taken
     around the ring.  The base form is invariant under i -> n + 2 - i, so the
     direction of the offset does not matter.  Exact values come from the
-    integer form of _exact_base, float ones from prism_resistance_base.
+    integer form of _exact_base, float ones from _float_base.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -172,26 +178,21 @@ def prism_resistance(n: int, u: "PrismVertex | str", v: "PrismVertex | str",
         p, q = (u, v) if u.ring == "p" else (v, u)
         i = (q.pos - p.pos) % n + 1
         kind = "pq"
-    if mode != "exact":
-        return prism_resistance_base(n, i, kind, mode)
+    if mode == "float":
+        return _float_base(n, i, kind)
     k = n // 2
     d = k - i + 1
     ud, ad = _unit(abs(d))
     return _exact_base(n, i, kind, *_unit(k), ud, ad if d >= 0 else -ad)
 
 
-def prism_pair_sum(n: int, i: int, mode: str = "exact"):
+def prism_pair_sum(n: int, i: int) -> Fraction:
     """r(p1, p_i) + r(p1, q_i): the cross terms cancel, leaving one power of x.
 
     Exact closed form sqrt3/3 * (1 + x^n)/(1 - x^n) + (n-i+1)(i-1)/n with
     x = 2 - sqrt3, certified rational.
     """
     _check_args(n, i, "pp")
-    if mode == "float":
-        xn = (2.0 - SQRT3) ** n
-        return (1.0 + xn) / ((1.0 - xn) * SQRT3) + (n - i + 1) * (i - 1) / float(n)
-    if mode != "exact":
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     xn = two_minus_sqrt3_pow(n)
     core = Qsqrt3(0, Fraction(1, 3)) * (1 + xn) / (1 - xn)
     total = core + Fraction((n - i + 1) * (i - 1), n)
@@ -364,9 +365,8 @@ def resistance_table(n: int, mode: str = "exact") -> list[list]:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "float":
-        pp = [prism_resistance_base(n, i, "pp", mode) for i in range(1, n + 1)]
-        pq = [prism_resistance_base(n, i, "pq", mode) for i in range(1, n + 1)]
-        pp[0] = 0.0  # the diagonal
+        pp = [_float_base(n, i, "pp") for i in range(1, n + 1)]
+        pq = [_float_base(n, i, "pq") for i in range(1, n + 1)]
     else:
         uk, ak = _unit(n // 2)
         ud, ad = uk, ak  # d = k at offset i = 1

@@ -168,7 +168,7 @@ def run_checks(n_max: int = 10, tol: float = 1e-9) -> list[CheckResult]:
             for i in range(1, n + 1):
                 for kind, other in (("pp", f"p{i}"), ("pq", f"q{i}")):
                     expect = resistance_oracle(net, "p1", other)
-                    for route, got in (("closed", prism_resistance_base(n, i, kind, "exact")),
+                    for route, got in (("closed", prism_resistance_base(n, i, kind)),
                                        ("integer", prism_resistance(n, "p1", other))):
                         if got != expect:
                             raise _Counterexample(
@@ -184,7 +184,7 @@ def run_checks(n_max: int = 10, tol: float = 1e-9) -> list[CheckResult]:
             for i in range(1, n + 1):
                 for kind, other in (("pp", f"p{i}"), ("pq", f"q{i}")):
                     expect = resistance_oracle(net, "p1", other)
-                    got = prism_resistance_base(n, i, kind, "float")
+                    got = prism_resistance(n, "p1", other, "float")
                     if abs(got - expect) > tol:
                         raise _Counterexample(f"n={n} i={i} {kind}: |{got} - {expect}| > {tol}")
                     pairs += 1
@@ -196,7 +196,7 @@ def run_checks(n_max: int = 10, tol: float = 1e-9) -> list[CheckResult]:
         for n in sizes:
             for i in range(2, n + 1):
                 for kind in ("pp", "pq"):
-                    direct = prism_resistance_base(n, i, kind, "exact")
+                    direct = prism_resistance_base(n, i, kind)
                     composed = prism_resistance_via_reduction(n, i, kind)
                     if direct != composed:
                         raise _Counterexample(f"n={n} i={i} {kind}: {direct} != {composed}")

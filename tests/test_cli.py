@@ -75,6 +75,18 @@ def test_resistance_rejects_bad_input(capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("resistance", str(10 ** 310), "p1", "q1", "--float"),
+    ("kirchhoff", str(10 ** 310), "--method", "coth"),
+])
+def test_float_closed_form_past_binary64_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    error, record = err.splitlines()
+    assert error == "error: int too large to convert to float"
+    assert record.startswith(f"# command={argv[0]} elapsed_ms=")
+
+
 # -- kirchhoff ---------------------------------------------------------------
 
 
@@ -403,14 +415,22 @@ def test_the_cli_imports_no_typing():
 
 
 @pytest.mark.parametrize("argv", [
-    ("net", "spantrees", None),
+    ("net", "spantrees", "exact"),
     ("verify", "--n-max", "2"),
     ("kirchhoff", "5", "--method", "oracle"),
+    ("net", "resistance", "exact", "p1", "q2"),
+    ("net", "reduce", "exact", "--keep", "p1,q2"),
+    ("net", "kirchhoff", "exact"),
+    ("net", "resistance", "float", "p1", "q2"),
 ])
 def test_oracle_commands_load_numpy_and_scipy(argv, tmp_path):
-    path = tmp_path / "prism3.json"
-    path.write_text(json.dumps(network_to_json(build_prism(3))))
-    assert _loaded_after(*(str(path) if a is None else a for a in argv)) == ["numpy", "scipy"]
+    # an exact network is never handed to LAPACK, so it loads NumPy alone
+    paths = {}
+    for kind, net in (("exact", build_prism(3)), ("float", build_prism(3).to_float())):
+        paths[kind] = tmp_path / f"{kind}.json"
+        paths[kind].write_text(json.dumps(network_to_json(net)))
+    expected = ["numpy"] if "exact" in argv else ["numpy", "scipy"]
+    assert _loaded_after(*(str(paths.get(a, a)) for a in argv)) == expected
 
 
 def test_resistance_deterministic(capsys):

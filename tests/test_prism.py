@@ -12,6 +12,7 @@ from prismres.ladder import ladder_params
 from prismres.network import resistance_oracle
 from prismres.prism import (
     PrismVertex,
+    _float_base,
     csc2_sum_check,
     kirchhoff_closed,
     kirchhoff_float,
@@ -74,7 +75,7 @@ def test_base_float_tracks_exact():
         i = rng.randrange(1, n + 1)
         kind = rng.choice(("pp", "pq"))
         exact = float(prism_resistance_base(n, i, kind))
-        approx = prism_resistance_base(n, i, kind, mode="float")
+        approx = prism_resistance(n, "p1", f"{kind[1]}{i}", "float")
         assert abs(approx - exact) <= 1e-12 * max(1.0, exact)
 
 
@@ -93,8 +94,8 @@ def test_base_validates():
         prism_resistance_base(5, 0, "pq")
     with pytest.raises(ValueError):
         prism_resistance_base(5, 2, "xy")
-    with pytest.raises(ValueError):
-        prism_resistance_base(5, 2, "pp", mode="double")
+    with pytest.raises(TypeError):  # exact only: there is no mode to pass
+        prism_resistance_base(5, 2, "pp", mode="exact")
 
 
 # -- symmetry resolution --------------------------------------------------
@@ -131,6 +132,8 @@ def test_resistance_validates():
     for u, v in (("p1", "p1"), ("p1", "q2")):  # the mode is checked before u == v
         with pytest.raises(ValueError):
             prism_resistance(3, u, v, "bogus")
+    with pytest.raises(ValueError):
+        prism_resistance(5, "p1", "p2", mode="double")
 
 
 # -- the integer route against the field route ----------------------------
@@ -157,7 +160,7 @@ def test_field_route_does_not_call_the_integer_kernel(monkeypatch):
         for i in range(1, n + 1):
             for kind in ("pp", "pq"):
                 assert type(prism_resistance_base(n, i, kind)) is Fraction, (n, i, kind)
-                assert type(prism_resistance_base(n, i, kind, "float")) is float, (n, i, kind)
+                assert type(_float_base(n, i, kind)) is float, (n, i, kind)
 
 
 def test_kirchhoff_and_trig_sum_equal_the_a2n_forms():
@@ -237,11 +240,6 @@ def test_pair_sum_equals_component_sum():
         for i in range(1, n + 1):
             combined = prism_resistance_base(n, i, "pp") + prism_resistance_base(n, i, "pq")
             assert prism_pair_sum(n, i) == combined
-
-
-def test_pair_sum_float_mode():
-    for n, i in ((2, 2), (7, 3), (40, 11)):
-        assert abs(prism_pair_sum(n, i, mode="float") - float(prism_pair_sum(n, i))) <= 1e-12
 
 
 # -- composition route ----------------------------------------------------

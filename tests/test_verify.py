@@ -64,6 +64,18 @@ def test_verify_checks_the_integer_kernel_against_the_oracle(monkeypatch):
     assert "integer" in results[0].detail
 
 
+def test_verify_checks_the_served_float_path_against_the_oracle(monkeypatch):
+    float_base = prism._float_base
+
+    def corrupted(*args):
+        return float_base(*args) + 1e-6
+
+    monkeypatch.setattr(prism, "_float_base", corrupted)
+    results = run_checks(n_max=3)
+    assert len(results) == 13
+    assert [r.name for r in results if not r.passed] == ["resistance-float-vs-oracle"]
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
 def test_run_checks_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
     with pytest.raises(ValueError, match="tol"):
