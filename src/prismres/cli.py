@@ -15,7 +15,7 @@ prismres package, so it counts imports and parsing; called in-process
 through main(), it starts with the call.  Exit codes: 0 success, 1 honest
 negative (failed verification, disconnected network, a float network
 binary64 cannot factor, a float closed form whose n binary64 cannot hold),
-2 malformed input.
+2 malformed input, including a table past TABLE_CAPS.
 
 Only net, verify and kirchhoff --method oracle import the oracle, and with
 it NumPy; SciPy loads only once a float network is factored, which verify
@@ -36,6 +36,8 @@ from . import _IMPORTED_AT
 from .prism import kirchhoff_closed, kirchhoff_float, prism_resistance, resistance_table
 
 DEFAULT_ORACLE_CAP = 200
+# Largest n that `table` renders per format; each costs about 1 GB of peak memory.
+TABLE_CAPS = {"csv": 2000, "json": 500}
 
 
 def _fmt(value) -> str:
@@ -96,6 +98,9 @@ def _cmd_kirchhoff(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    cap = TABLE_CAPS[args.format]
+    if args.n > cap:
+        raise ValueError(f"table --format {args.format} is capped at n={cap}")
     labels = [f"p{i}" for i in range(1, args.n + 1)] + [f"q{i}" for i in range(1, args.n + 1)]
     if args.format == "csv":
         rows = resistance_table(args.n, "float")
@@ -182,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_kirchhoff)
 
     p = sub.add_parser("table", help="all-pairs resistance table")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=f"prism size, at most {TABLE_CAPS['csv']} for csv "
+                                       f"and {TABLE_CAPS['json']} for json")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="csv: float, 17 significant digits; json: exact rationals")
     p.add_argument("--output", help="write to a file instead of stdout")

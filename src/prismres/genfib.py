@@ -13,6 +13,12 @@ from __future__ import annotations
 from .exact import Qsqrt3, TWO_MINUS_SQRT3, two_minus_sqrt3_pow
 
 
+def _check_n(n: int) -> None:
+    """Reject a prism size below 1: the one domain check of the closed forms."""
+    if n < 1:
+        raise ValueError(f"prism index must be positive, got {n}")
+
+
 def gfib(n: int) -> int:
     """n-th term of a[k+2] = 4 a[k+1] - a[k] with a[0] = 0, a[1] = 1.
 
@@ -59,8 +65,7 @@ def prism_spanning_tree_count(n: int) -> int:
     the exponent, u_n - 1 is 6 a[k]^2 for n = 2k and (a[k] + a[k+1])^2 for
     n = 2k + 1 (1, 12, 75, ... for n = 1, 2, 3).
     """
-    if n < 1:
-        raise ValueError(f"prism index must be positive, got {n}")
+    _check_n(n)
     k, odd = divmod(n, 2)
     a = gfib(k)
     if not odd:

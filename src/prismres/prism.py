@@ -2,7 +2,8 @@
 
 The n-prism has two vertex classes of pair: same ring (p1, p_i) and cross
 ring (p1, q_i); by its symmetries every pair reduces to one of those, with
-1 <= i <= n.  The exact values are computed over the integers from
+i - 1 the ring distance of the pair, so 1 <= i <= n // 2 + 1.  The exact
+values are computed over the integers from
 (2 + sqrt3)^k = u_k + a_k sqrt3, with a_k = gfib(k) and u_k = a_{k+1} - 2 a_k,
 at half the exponent: every form shares the ratio a_n/(u_n - 1), which is
 u_k/(3 a_k) for n = 2k and (a_{k+1} - a_k)/(a_{k+1} + a_k) for n = 2k + 1, in
@@ -24,7 +25,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .exact import Qsqrt3, SQRT3, TWO_MINUS_SQRT3, two_minus_sqrt3_pow
-from .genfib import gfib
+from .genfib import _check_n, gfib
 from .ladder import ladder_params
 
 KINDS = ("pp", "pq")
@@ -58,8 +59,7 @@ class PrismVertex(namedtuple("PrismVertex", "ring pos")):
 
 
 def _check_args(n: int, i: int, kind: str) -> None:
-    if n < 1:
-        raise ValueError(f"prism index must be positive, got {n}")
+    _check_n(n)
     if not 1 <= i <= n:
         raise ValueError(f"pair offset must satisfy 1 <= i <= n, got i={i} with n={n}")
     if kind not in KINDS:
@@ -103,7 +103,7 @@ def _float_base(n: int, i: int, kind: str) -> float:
     tail = xm + xl
     if kind == "pp":
         tail = -tail
-    return (1 + xn + tail) / (2 * SQRT3 * (1 - xn)) + m * l / (2.0 * n)
+    return (1 + xn + tail) / (2 * SQRT3 * (1 - xn)) + m * l / (2 * n)
 
 
 def _unit(k: int) -> tuple[int, int]:
@@ -127,15 +127,14 @@ def _ratio(n: int, u: int, a: int) -> tuple[int, int]:
 def _exact_base(n: int, i: int, kind: str, uk: int, ak: int, ud: int, ad: int) -> Fraction:
     """r(p1, p_i) or r(p1, q_i) over the integers, from k = n // 2 and d = k - i + 1.
 
-    With (u_k, a_k) and (u_d, a_d) the integer parts of (2 + sqrt3)^k and
-    (2 + sqrt3)^d (d may be negative, a_{-d} = -a_d), and c_k/den the ratio
-    a_n/(u_n - 1) of _ratio,
+    The offset is folded, 1 <= i <= k + 1, so 0 <= d <= k.  With (u_k, a_k)
+    and (u_d, a_d) the integer parts of (2 + sqrt3)^k and (2 + sqrt3)^d, and
+    c_k/den the ratio a_n/(u_n - 1) of _ratio,
 
         (n - i + 1)(i - 1)/(2n) + (c_k -/+ c_d)/(2 den),
 
-    minus for "pp", plus for "pq", where c_d = u_d = u_j with j = |d| for
-    even n, and c_d = a_{d+1} - a_d = u_d + a_d, which is a_{j+1} - a_j with
-    j = (|2d + 1| - 1)/2 = (|n - 2i + 2| - 1)/2, for odd n.  This is
+    minus for "pp", plus for "pq", where c_d = u_d for even n and
+    c_d = a_{d+1} - a_d = u_d + a_d for odd n.  This is
     prism_resistance_base's form with numerator and denominator multiplied by
     (2 + sqrt3)^(n/2).  The terms are put over the common denominator 2n den,
     of about n bits, so one gcd reduces the result.
@@ -154,36 +153,35 @@ def prism_resistance(n: int, u: "PrismVertex | str", v: "PrismVertex | str",
                      mode: str = "exact"):
     """Effective resistance between any two vertices of the n-prism.
 
-    Rotational and reflection symmetry reduce (u, v) to a base pair: same-ring
-    pairs to (p1, p_i), cross-ring pairs to (p1, q_i), with the offset taken
-    around the ring.  The base form is invariant under i -> n + 2 - i, so the
-    direction of the offset does not matter.  Exact values come from the
-    integer form of _exact_base, float ones from _float_base.
+    Rotational and reflection symmetry reduce (u, v) to a base pair (p1, p_i)
+    if they share a ring and (p1, q_i) if not, and the base form is invariant
+    under i -> n + 2 - i.  So only the ring distance l of the two positions
+    matters, 0 <= l <= n // 2, with i = l + 1: the order of u and v is
+    irrelevant, and a vertex with itself is the i = 1 same-ring value, 0.
+    Exact values come from the integer form of _exact_base, with
+    (2 + sqrt3)^d = (2 + sqrt3)^k (2 - sqrt3)^l, k = n // 2, taken from the
+    smaller of the powers l and d = k - l; float ones from _float_base.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     u = _as_vertex(u)
     v = _as_vertex(v)
-    if n < 1:
-        raise ValueError(f"prism index must be positive, got {n}")
+    _check_n(n)
     for w in (u, v):
         if w.pos > n:
             raise ValueError(f"vertex {w.label} does not exist on the {n}-prism")
-    if u == v:
-        return Fraction(0) if mode == "exact" else 0.0
-    if u.ring == v.ring:
-        i = (v.pos - u.pos) % n + 1
-        kind = "pp"
-    else:
-        p, q = (u, v) if u.ring == "p" else (v, u)
-        i = (q.pos - p.pos) % n + 1
-        kind = "pq"
+    l = min((v.pos - u.pos) % n, (u.pos - v.pos) % n)
+    kind = "pp" if u.ring == v.ring else "pq"
     if mode == "float":
-        return _float_base(n, i, kind)
+        return _float_base(n, l + 1, kind)
     k = n // 2
-    d = k - i + 1
-    ud, ad = _unit(abs(d))
-    return _exact_base(n, i, kind, *_unit(k), ud, ad if d >= 0 else -ad)
+    uk, ak = _unit(k)
+    if 2 * l <= k:
+        ul, al = _unit(l)
+        ud, ad = uk * ul - 3 * ak * al, ak * ul - uk * al
+    else:
+        ud, ad = _unit(k - l)
+    return _exact_base(n, l + 1, kind, uk, ak, ud, ad)
 
 
 def prism_pair_sum(n: int, i: int) -> Fraction:
@@ -247,8 +245,7 @@ def kirchhoff_closed(n: int) -> Fraction:
     (_ratio), so the value is one Fraction of about n bits.  Values start
     1, 11/3, 47/5, 58/3, ...
     """
-    if n < 1:
-        raise ValueError(f"prism index must be positive, got {n}")
+    _check_n(n)
     top, den = _ratio(n, *_unit(n // 2))
     return Fraction(n * (n * n - 1) * den + 6 * n * n * top, 6 * den)
 
@@ -266,8 +263,7 @@ def kirchhoff_float(n: int, route: str = "closed") -> float:
     x^n underflows to zero for large n; closed and coth then both limit to
     n(n^2-1)/6 + n^2/sqrt3, which is the correct asymptotic.
     """
-    if n < 1:
-        raise ValueError(f"prism index must be positive, got {n}")
+    _check_n(n)
     poly = n * (n * n - 1) / 6.0
     if route == "closed":
         xn = (2.0 - SQRT3) ** n
@@ -302,8 +298,7 @@ class PrismSpectrum(namedtuple("PrismSpectrum", "n values")):
 
 def prism_eigenvalues(n: int) -> PrismSpectrum:
     """Analytic Laplacian spectrum of the n-prism (valid for n = 1 and 2 as well)."""
-    if n < 1:
-        raise ValueError(f"prism index must be positive, got {n}")
+    _check_n(n)
     values = []
     for j in range(n):
         c = 2.0 * math.cos(2.0 * math.pi * j / n)
@@ -325,8 +320,7 @@ def trig_sum(n: int, route: str = "direct"):
     ratio in lowest terms from the terms at n // 2 (_ratio).  Values:
     1, 4/3, 9/5, ...
     """
-    if n < 1:
-        raise ValueError(f"prism index must be positive, got {n}")
+    _check_n(n)
     if route == "direct":
         return sum(1.0 / (1.0 + 2.0 * math.sin(k * math.pi / n) ** 2) for k in range(n))
     if route == "closed":
@@ -337,8 +331,7 @@ def trig_sum(n: int, route: str = "direct"):
 
 def csc2_sum_check(n: int, rel_tol: float = 1e-9) -> bool:
     """Check sum_{k=1}^{n-1} csc^2(k pi / n) == (n^2 - 1)/3 within rel_tol."""
-    if n < 1:
-        raise ValueError(f"prism index must be positive, got {n}")
+    _check_n(n)
     total = sum(1.0 / math.sin(k * math.pi / n) ** 2 for k in range(1, n))
     expected = (n * n - 1) / 3.0
     if expected == 0.0:
@@ -353,31 +346,33 @@ def csc2_sum_check(n: int, rel_tol: float = 1e-9) -> bool:
 def resistance_table(n: int, mode: str = "exact") -> list[list]:
     """Full 2n x 2n matrix of pairwise resistances, rows ordered p1..pn, q1..qn.
 
-    Only the 2n distinct base values are evaluated; the rest is symmetry:
-    row p_a is row p1 with each half rotated right by a - 1, and row q_a is
-    row q1 rotated the same way.  In exact mode the power (2 + sqrt3)^d of
-    _exact_base, d = n // 2 - i + 1, is stepped from one offset to the next,
-    one multiplication by 2 - sqrt3 each, so only (2 + sqrt3)^(n // 2) is
+    Only the offsets i = 1 .. n // 2 + 1 of each kind are evaluated; the
+    offsets past them mirror these, since the base form is invariant under
+    i -> n + 2 - i.  Row p_a is row p1 with each half rotated right by a - 1;
+    by the same fold r(q1, p_b) = r(p1, q_b), so row q_a is (pq, pp) rotated
+    the same way.  In exact mode the power (2 + sqrt3)^d of _exact_base,
+    d = n // 2 - i + 1, is stepped down from d = n // 2 to 0, one
+    multiplication by 2 - sqrt3 each, so only (2 + sqrt3)^(n // 2) is
     computed from scratch.
     """
-    if n < 1:
-        raise ValueError(f"prism index must be positive, got {n}")
+    _check_n(n)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    half = range(1, n // 2 + 2)
     if mode == "float":
-        pp = [_float_base(n, i, "pp") for i in range(1, n + 1)]
-        pq = [_float_base(n, i, "pq") for i in range(1, n + 1)]
+        pp, pq = ([_float_base(n, i, kind) for i in half] for kind in KINDS)
     else:
         uk, ak = _unit(n // 2)
         ud, ad = uk, ak  # d = k at offset i = 1
         pp, pq = [], []
-        for i in range(1, n + 1):
+        for i in half:
             pp.append(_exact_base(n, i, "pp", uk, ak, ud, ad))
             pq.append(_exact_base(n, i, "pq", uk, ak, ud, ad))
             ud, ad = 2 * ud - 3 * ad, 2 * ad - ud
-    qp = pq[:1] + pq[:0:-1]  # r(q1, p_b) is pq at offset 1 - b
+    pp += pp[n - len(pp):0:-1]
+    pq += pq[n - len(pq):0:-1]
     rows = []
-    for left, right in ((pp, pq), (qp, pp)):
+    for left, right in ((pp, pq), (pq, pp)):
         for a in range(n):
             k = (n - a) % n
             rows.append(left[k:] + left[:k] + right[k:] + right[:k])

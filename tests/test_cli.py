@@ -87,6 +87,12 @@ def test_float_closed_form_past_binary64_exits_one(capsys, argv):
     assert record.startswith(f"# command={argv[0]} elapsed_ms=")
 
 
+def test_float_resistance_fits_binary64_though_its_flat_product_does_not(capsys):
+    n, half = 10 ** 300, 5 * 10 ** 299  # m l = 2.5e599 has no float, r does
+    code, out, _ = run_cli(capsys, "resistance", str(n), "p1", f"q{half}", "--float")
+    assert (code, out) == (0, "1.25e+299\n")
+
+
 # -- kirchhoff ---------------------------------------------------------------
 
 
@@ -146,6 +152,19 @@ def test_table_json_exact(capsys):
     assert doc["vertices"] == ["p1", "p2", "q1", "q2"]
     assert doc["resistances"][0] == ["0", "5/12", "2/3", "3/4"]
     assert [[Fraction(x) for x in row] for row in doc["resistances"]] == resistance_table(2)
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (("table", "2001"), "csv is capped at n=2000"),
+    (("table", "501", "--format", "json"), "json is capped at n=500"),
+    (("table", str(10 ** 310)), "csv is capped at n=2000"),
+], ids=["csv-2001", "json-501", "csv-10^310"])
+def test_table_past_its_cap_is_refused_at_once(capsys, argv, cap):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == f"error: table --format {cap}"
 
 
 def test_table_deterministic(capsys):

@@ -129,11 +129,20 @@ def test_resistance_validates():
         prism_resistance(3, "p1", "what")
     with pytest.raises(ValueError):
         prism_resistance(0, "p1", "q1")
-    for u, v in (("p1", "p1"), ("p1", "q2")):  # the mode is checked before u == v
+    for u, v in (("p1", "p1"), ("p1", "q2")):  # a bad mode fails for any pair, same vertex too
         with pytest.raises(ValueError):
             prism_resistance(3, u, v, "bogus")
     with pytest.raises(ValueError):
         prism_resistance(5, "p1", "p2", mode="double")
+
+
+def test_same_vertex_is_a_positive_zero():
+    for n in range(1, 41):
+        for v in (f"{ring}{pos}" for ring in "pq" for pos in range(1, n + 1)):
+            exact = prism_resistance(n, v, v)
+            approx = prism_resistance(n, v, v, "float")
+            assert type(exact) is Fraction and exact == 0, (n, v)
+            assert approx == 0.0 and math.copysign(1.0, approx) == 1.0, (n, v)
 
 
 # -- the integer route against the field route ----------------------------
@@ -206,6 +215,24 @@ def test_integer_route_never_powers_past_half_of_n(monkeypatch):
             seen.clear()
             call()
             assert max(seen, default=0) <= n // 2 + 1, (n, max(seen))
+
+
+def test_exact_resistance_powers_past_a_quarter_of_n_once(monkeypatch):
+    seen = []
+
+    def recording(k):
+        seen.append(k)
+        return gfib(k)
+
+    monkeypatch.setattr("prismres.prism.gfib", recording)
+    for n in (101, 1000, 10 ** 4):
+        k = n // 2
+        for i in (1, 2, k, k + 1, n):
+            for ring in "pq":
+                seen.clear()
+                prism_resistance(n, "p1", f"{ring}{i}")
+                # only (2 + sqrt3)^k itself: a_k and a_{k+1}
+                assert sum(j > n // 4 + 1 for j in seen) <= 2, (n, i, ring, seen)
 
 
 def test_half_size_forms_equal_the_full_size_forms(full_size):
@@ -370,7 +397,7 @@ def test_resistance_table_n2():
 
 
 def test_resistance_table_matches_resolver():
-    for n in range(1, 13):
+    for n in range(1, 41):
         labels = [f"p{i}" for i in range(1, n + 1)] + [f"q{i}" for i in range(1, n + 1)]
         for mode in ("exact", "float"):
             table = resistance_table(n, mode)
