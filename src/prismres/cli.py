@@ -2,7 +2,7 @@
 
 Subcommands:
     resistance N U V [--float]            closed-form prism resistance
-    kirchhoff N [--method M] [--oracle-cap C]
+    kirchhoff N [--method M]
     table N [--format csv|json] [--output PATH]
     verify [--n-max N] [--tol T] [--format text|json]
     net {resistance,reduce,spantrees,kirchhoff} FILE ...
@@ -15,7 +15,7 @@ prismres package, so it counts imports and parsing; called in-process
 through main(), it starts with the call.  Exit codes: 0 success, 1 honest
 negative (failed verification, disconnected network, a float network
 binary64 cannot factor, a float closed form whose n binary64 cannot hold),
-2 malformed input, including a table past TABLE_CAPS.
+2 malformed input, including an n past the command's entry in CAPS.
 
 Only net, verify and kirchhoff --method oracle import the oracle, and with
 it NumPy; SciPy loads only once a float network is factored, which verify
@@ -35,9 +35,29 @@ from fractions import Fraction
 from . import _IMPORTED_AT
 from .prism import kirchhoff_closed, kirchhoff_float, prism_resistance, resistance_table
 
-DEFAULT_ORACLE_CAP = 200
-# Largest n that `table` renders per format; each costs about 1 GB of peak memory.
-TABLE_CAPS = {"csv": 2000, "json": 500}
+# Largest n each command serves, checked before it does any work.  Each cap
+# costs about 1 GB of peak memory, except those of the exact closed forms,
+# which need a few MB but take minutes there.  Float resistance and
+# --method coth run in O(1) and are not capped.
+CAPS = {
+    "resistance": 10 ** 7,
+    "kirchhoff --method closed": 10 ** 7,
+    "kirchhoff --method spectral": 10 ** 7,
+    "kirchhoff --method oracle": 3000,
+    "table --format csv": 2000,
+    "table --format json": 500,
+}
+
+
+def _cap_key(args) -> str | None:
+    """The CAPS entry that bounds a parsed command's n, or None when none does."""
+    if args.command == "resistance":
+        return None if args.float else "resistance"
+    if args.command == "kirchhoff":
+        return None if args.method == "coth" else f"kirchhoff --method {args.method}"
+    if args.command == "table":
+        return f"table --format {args.format}"
+    return None
 
 
 def _fmt(value) -> str:
@@ -86,9 +106,6 @@ def _cmd_kirchhoff(args) -> int:
     if args.method == "closed":
         print(_fmt(kirchhoff_closed(args.n)))
     elif args.method == "oracle":
-        if args.n > args.oracle_cap:
-            raise ValueError(
-                f"oracle method is capped at n={args.oracle_cap}; raise --oracle-cap to go higher")
         from .network import build_prism, kirchhoff_oracle
 
         print(_fmt(kirchhoff_oracle(build_prism(args.n).to_float())))
@@ -98,9 +115,6 @@ def _cmd_kirchhoff(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    cap = TABLE_CAPS[args.format]
-    if args.n > cap:
-        raise ValueError(f"table --format {args.format} is capped at n={cap}")
     labels = [f"p{i}" for i in range(1, args.n + 1)] + [f"q{i}" for i in range(1, args.n + 1)]
     if args.format == "csv":
         rows = resistance_table(args.n, "float")
@@ -182,13 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--method", choices=("closed", "coth", "spectral", "oracle"),
                    default="closed")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
-                   help=f"size cap for --method oracle (default {DEFAULT_ORACLE_CAP})")
     p.set_defaults(handler=_cmd_kirchhoff)
 
     p = sub.add_parser("table", help="all-pairs resistance table")
-    p.add_argument("n", type=int, help=f"prism size, at most {TABLE_CAPS['csv']} for csv "
-                                       f"and {TABLE_CAPS['json']} for json")
+    p.add_argument("n", type=int, help=f"prism size, at most {CAPS['table --format csv']} for "
+                                       f"csv and {CAPS['table --format json']} for json")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="csv: float, 17 significant digits; json: exact rationals")
     p.add_argument("--output", help="write to a file instead of stdout")
@@ -251,6 +263,9 @@ def _main(argv, start: float) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        key = _cap_key(args)
+        if key and args.n > CAPS[key]:
+            raise ValueError(f"{key} is capped at n={CAPS[key]}")
         return args.handler(args)
     except (OverflowError, *_oracle_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)

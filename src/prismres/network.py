@@ -9,8 +9,9 @@ is positive definite, and one elimination without pivoting answers every
 question: exact networks delete the ground's row and column, scale L to an
 integer matrix and run fraction-free (Bareiss) elimination; float networks
 ground in place, giving the ground the row and column of the identity, and
-factor the whole matrix with Cholesky.  L and L+ are plain NumPy arrays:
-Fraction object arrays on exact networks, float64 on float ones.
+factor the whole matrix with Cholesky.  Each elimination builds the L it
+consumes; only L+ is cached.  Both are plain NumPy arrays: Fraction object
+arrays on exact networks, float64 on float ones.
 
 * Effective resistances and the Kirchhoff index come from the Moore-Penrose
   pseudoinverse L+ = P G P, where G is the inverse of the grounded block,
@@ -95,18 +96,18 @@ def _schur(a: list[list[int]], k: int) -> tuple[list[list[int]], int]:
 def _cholesky(lap: np.ndarray, ground: Sequence[int]) -> np.ndarray:
     """Upper Cholesky factor of a float Laplacian grounded in place.
 
-    Copies `lap` and gives each vertex in `ground` the row and column of the
-    identity, which is positive definite whenever every other vertex has a
-    path to the ground.  The copy's transpose is Fortran-ordered, so LAPACK
+    Grounds `lap` in place, giving each vertex in `ground` the row and column
+    of the identity, which is positive definite whenever every other vertex
+    has a path to the ground, and overwrites it with the factor: callers pass
+    a Laplacian built for it.  Its transpose is Fortran-ordered, so LAPACK
     factors it in place, and the factor is Fortran-ordered as well.
     """
     from scipy.linalg import lapack
 
-    a = np.array(lap)
-    a[ground, :] = 0.0
-    a[:, ground] = 0.0
-    a[ground, ground] = 1.0
-    factor, info = lapack.dpotrf(a.T, overwrite_a=1)
+    lap[ground, :] = 0.0
+    lap[:, ground] = 0.0
+    lap[ground, ground] = 1.0
+    factor, info = lapack.dpotrf(lap.T, overwrite_a=1)
     if info != 0 or not np.isfinite(factor).all():
         raise SingularMatrixError("binary64 Cholesky factorization failed: the conductances are "
                                   "too far apart or too large for floats; use exact resistances")
@@ -116,13 +117,14 @@ def _cholesky(lap: np.ndarray, ground: Sequence[int]) -> np.ndarray:
 def pinv_laplacian(net: Network) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a connected network's Laplacian.
 
-    Grounds one vertex and inverts the remaining block L0: exact Laplacians
-    ground vertex 0 by deleting its row and column, and read -(D*L0)^-1 off
-    the Schur complement of the bordered matrix [[D*L0, I], [I, 0]].  Float
-    ones ground the vertex with the largest conductance sum (the lowest index
-    among equals) in place, as a row and column of the identity, and invert
-    the whole matrix by Cholesky; the inverse is L0^-1 around a 1 at the
-    ground, which is then zeroed.  Then L+ = P G P, with G the inverse of L0
+    Builds the Laplacian, grounds one vertex and inverts the remaining block
+    L0: exact Laplacians ground vertex 0 by keeping only L0, scaled to the
+    integer matrix D*L0, and read -(D*L0)^-1 off the Schur complement of the
+    bordered matrix [[D*L0, I], [I, 0]].  Float ones ground the vertex with
+    the largest conductance sum (the lowest index among equals) in place, as
+    a row and column of the identity, and invert the whole matrix by
+    Cholesky; the inverse is L0^-1 around a 1 at the ground, which is then
+    zeroed.  Then L+ = P G P, with G the inverse of L0
     padded with zeros at the ground and P = I - J/N: a Fraction object array
     on an exact network, float64 otherwise.  Raises DisconnectedNetworkError
     when `net` is not connected.
@@ -141,9 +143,9 @@ def pinv_laplacian(net: Network) -> np.ndarray:
     lap = net.laplacian()
     m = n - 1
     if net.is_exact:
-        a, d = _integer_form(lap)
+        a, d = _integer_form(lap[1:, 1:])
         eye = [[int(i == j) for j in range(m)] for i in range(m)]
-        bordered = [row[1:] + e for row, e in zip(a[1:], eye)] + [e + [0] * m for e in eye]
+        bordered = [row + e for row, e in zip(a, eye)] + [e + [0] * m for e in eye]
         t, det = _schur(bordered, m)
         # L0^-1 = -d T / det.  Pad T at the ground and centre it in integers:
         # n^2 (P T P)_ij = n^2 T_ij - n (s_i + s_j) + S, with s the row sums
@@ -184,7 +186,7 @@ class Network:
     resistance and its conductance 1/r must be finite and positive.
     """
 
-    __slots__ = ("_vertices", "_edges", "_index", "_exact", "_lap", "_pinv")
+    __slots__ = ("_vertices", "_edges", "_index", "_exact", "_pinv")
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple]):
         self._vertices = tuple(vertices)
@@ -210,7 +212,6 @@ class Network:
                                  f"and a finite conductance, got r = {r}")
             indexed.append((self._index[u], self._index[v], r))
         self._edges = tuple(indexed)
-        self._lap: np.ndarray | None = None
         self._pinv: np.ndarray | None = None
 
     @property
@@ -247,26 +248,23 @@ class Network:
     def laplacian(self) -> np.ndarray:
         """Weighted graph Laplacian (conductance = 1/resistance; loops ignored).
 
-        A Fraction object array on an exact network, float64 otherwise; it is
-        cached, and so read-only.  A float sum of parallel conductances past
-        the binary64 range is inf, without a warning: the Cholesky
-        factorization then reports it.
+        A new, writable array on every call: a Fraction object array on an
+        exact network, float64 otherwise.  A float sum of parallel
+        conductances past the binary64 range is inf, without a warning: the
+        Cholesky factorization then reports it.
         """
-        if self._lap is None:
-            n = self.order
-            rows = np.full((n, n), Fraction(0), dtype=object) if self._exact else np.zeros((n, n))
-            with np.errstate(over="ignore"):
-                for iu, iv, r in self._edges:
-                    if iu == iv:
-                        continue
-                    g = 1 / r
-                    rows[iu, iu] += g
-                    rows[iv, iv] += g
-                    rows[iu, iv] -= g
-                    rows[iv, iu] -= g
-            rows.flags.writeable = False
-            self._lap = rows
-        return self._lap
+        n = self.order
+        rows = np.full((n, n), Fraction(0), dtype=object) if self._exact else np.zeros((n, n))
+        with np.errstate(over="ignore"):
+            for iu, iv, r in self._edges:
+                if iu == iv:
+                    continue
+                g = 1 / r
+                rows[iu, iu] += g
+                rows[iv, iv] += g
+                rows[iu, iv] -= g
+                rows[iv, iu] -= g
+        return rows
 
     def pseudoinverse(self) -> np.ndarray:
         """pinv_laplacian of this network, cached and read-only."""
@@ -317,9 +315,9 @@ def matrix_tree_count(net: Network):
         raise TypeError("matrix-tree counting requires an exact network")
     if len(set(_components(net))) > 1:
         return 0
-    a, d = _integer_form(net.laplacian())
+    a, d = _integer_form(net.laplacian()[1:, 1:])
     m = net.order - 1
-    _, det = _schur([row[1:] for row in a[1:]], m)
+    _, det = _schur(a, m)
     count = Fraction(det, d ** m)
     return count.numerator if count.denominator == 1 else count
 
@@ -330,9 +328,10 @@ def kron_reduce(net: Network, keep: Sequence[str]) -> Network:
     Eliminates the interior vertices first and reads the surviving edges off
     the Schur complement onto the kept vertices, in the order given.  Exact
     networks run `_schur` on D*L with the kept vertices permuted last.  Float
-    ones ground the kept vertices in place, so one Cholesky solve against the
-    kept columns of L (their kept rows zeroed) gives the interior's share
-    L_II^-1 L_IK, with exact zeros at the kept rows.  An entry is
+    ones take the kept rows and columns of L, then ground the kept vertices in
+    place, so one Cholesky solve against those columns (their kept rows
+    zeroed) gives the interior's share L_II^-1 L_IK, with exact zeros at the
+    kept rows.  An entry is
     exactly zero when no path joins its two vertices through the interior,
     and that pair gets no edge.  Any other entry is nonzero, and in float
     mode it is a sum of terms of one sign, so it cannot round to zero.  Raises
@@ -353,16 +352,17 @@ def kron_reduce(net: Network, keep: Sequence[str]) -> Network:
     if net.is_exact:
         kept = set(kidx)
         perm = [i for i in range(net.order) if i not in kept] + kidx
-        a, d = _integer_form(lap)
-        t, pivot = _schur([[a[i][j] for j in perm] for i in perm], net.order - len(kidx))
+        a, d = _integer_form(lap[np.ix_(perm, perm)])
+        t, pivot = _schur(a, net.order - len(kidx))
         conductance = [[Fraction(-x, pivot * d) for x in row] for row in t]
     else:
         from scipy.linalg import lapack
 
         rhs = lap[:, kidx]
+        kept_rows = lap[kidx, :]
         rhs[kidx, :] = 0.0
         solved, _ = lapack.dpotrs(_cholesky(lap, kidx), rhs)
-        schur = lap[np.ix_(kidx, kidx)] - lap[kidx, :] @ solved
+        schur = kept_rows[:, kidx] - kept_rows @ solved
         conductance = -(schur + schur.T) / 2.0
 
     edges = []

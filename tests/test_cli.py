@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import prismres
-from prismres.cli import main
+from prismres.cli import CAPS, main
 from prismres.ladder import ladder_terminal_resistances
 from prismres.network import build_prism, network_from_json, network_to_json, resistance_oracle
 from prismres.prism import kirchhoff_closed, prism_resistance, resistance_table
@@ -118,11 +118,14 @@ def test_kirchhoff_float_methods(capsys):
 
 
 def test_kirchhoff_oracle_cap(capsys):
-    code, _, err = run_cli(capsys, "kirchhoff", "201", "--method", "oracle")
-    assert code == 2
+    cap = CAPS["kirchhoff --method oracle"]
+    code, out, err = run_cli(capsys, "kirchhoff", str(cap + 1), "--method", "oracle")
+    assert (code, out) == (2, "")
     assert "capped" in err
-    code, out, _ = run_cli(capsys, "kirchhoff", "201", "--method", "oracle",
-                           "--oracle-cap", "250")
+    code, out, err = run_cli(capsys, "kirchhoff", "201", "--method", "oracle", "--oracle-cap", "250")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --oracle-cap" in err
+    code, out, _ = run_cli(capsys, "kirchhoff", "201", "--method", "oracle")
     assert code == 0
     assert float(out) > 0
 
@@ -154,17 +157,26 @@ def test_table_json_exact(capsys):
     assert [[Fraction(x) for x in row] for row in doc["resistances"]] == resistance_table(2)
 
 
-@pytest.mark.parametrize("argv, cap", [
-    (("table", "2001"), "csv is capped at n=2000"),
-    (("table", "501", "--format", "json"), "json is capped at n=500"),
-    (("table", str(10 ** 310)), "csv is capped at n=2000"),
-], ids=["csv-2001", "json-501", "csv-10^310"])
-def test_table_past_its_cap_is_refused_at_once(capsys, argv, cap):
+@pytest.mark.parametrize("argv, message", [
+    (("table", "2001"), "table --format csv is capped at n=2000"),
+    (("table", "501", "--format", "json"), "table --format json is capped at n=500"),
+    (("table", str(10 ** 310)), "table --format csv is capped at n=2000"),
+    (("resistance", str(10 ** 310), "p1", "p1"), None),
+    (("resistance", "10000001", "p1", "q2"), None),
+    (("kirchhoff", str(10 ** 310)), None),
+    (("kirchhoff", str(CAPS["kirchhoff --method spectral"] + 1), "--method", "spectral"), None),
+    (("kirchhoff", str(CAPS["kirchhoff --method oracle"] + 1), "--method", "oracle"), None),
+], ids=["csv-2001", "json-501", "csv-10^310", "resistance-10^310", "resistance-10^7+1",
+        "kirchhoff-10^310", "spectral-cap+1", "oracle-cap+1"])
+def test_n_past_its_cap_is_refused_at_once(capsys, argv, message):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 5.0
     assert (code, out) == (2, "")
-    assert err.splitlines()[0] == f"error: table --format {cap}"
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "capped at n=" in errors[0]
+    if message:
+        assert errors[0] == f"error: {message}"
 
 
 def test_table_deterministic(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -219,13 +220,49 @@ def test_connectivity_is_read_off_the_edges(monkeypatch):
             kron_reduce(net, ["a", "b"])  # c and d have no path to a kept vertex
 
 
-def test_cached_arrays_are_read_only():
-    for net in (build_prism(3), build_prism(3).to_float()):
-        before = resistance_oracle(net, "p1", "q2")
-        for cached in (net.laplacian(), net.pseudoinverse()):
-            with pytest.raises(ValueError):
-                cached[0, 0] = 5
-        assert resistance_oracle(net, "p1", "q2") == before
+def _oracle_answers(net):
+    answers = [resistance_oracle(net, "p1", "q2"),
+               network_to_json(kron_reduce(net, ["p1", "q2", "p3"]))]
+    if net.is_exact:
+        answers.append(matrix_tree_count(net))
+    return answers
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_only_the_pseudoinverse_is_cached(mode):
+    def fresh():
+        net = build_prism(3)
+        return net if mode == "exact" else net.to_float()
+
+    want = _oracle_answers(fresh())
+    net = fresh()
+    lap = net.laplacian()
+    assert lap is not net.laplacian() and lap.flags.writeable
+    lap[:, :] = 5  # the caller's copy; no later answer may read it
+    assert np.array_equal(net.laplacian(), fresh().laplacian())
+    assert _oracle_answers(net) == want
+    pinv = net.pseudoinverse()
+    assert pinv is net.pseudoinverse()
+    with pytest.raises(ValueError):
+        pinv[0, 0] = 5
+    assert _oracle_answers(net) == want
+
+
+def test_float_eliminations_factor_their_own_laplacian_in_place():
+    warm = build_prism(3).to_float()
+    warm.pseudoinverse()
+    kron_reduce(warm, ["p1", "q2", "p3"])
+    square = 8 * 800 ** 2  # one float64 array of order 800
+    for reduce, bound in ((lambda net: net.pseudoinverse(), 3.5),
+                          (lambda net: kron_reduce(net, ["p1", "q100", "p200"]), 1.5)):
+        net = build_prism(400).to_float()
+        tracemalloc.start()
+        try:
+            reduce(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * square, (peak / square, bound)
 
 
 def test_pinv_float_overflow_is_singular_not_disconnected():
