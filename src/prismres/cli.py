@@ -26,6 +26,8 @@ standard library alone.
 from __future__ import annotations
 
 import argparse
+import decimal
+import functools
 import json
 import sys
 import time
@@ -60,6 +62,41 @@ def _cap_key(args) -> str | None:
     return None
 
 
+# Exact decimal arithmetic: any rounding would raise Inexact.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+# Integers of at most this many bits are converted by Decimal() directly.
+_LEAF_BITS = 4096
+
+
+@functools.lru_cache(maxsize=None)
+def _pow2(h: int) -> Decimal:
+    """2**h as a Decimal, for h = _LEAF_BITS * 2**k.
+
+    The cache holds one entry per doubling up to the largest integer written,
+    and those entries together are about that integer's size.
+    """
+    if h == _LEAF_BITS:
+        return Decimal(1 << h)
+    half = _pow2(h // 2)
+    return _EXACT.multiply(half, half)
+
+
+def _decimal(n: int) -> Decimal:
+    """A nonnegative int as a Decimal, split as hi * 2**h + lo.
+
+    Decimal(n) converts in time quadratic in the digits of n; splitting by
+    bits leaves that cost to the leaves, and the exact Decimal products
+    above them are subquadratic.
+    """
+    if n.bit_length() <= _LEAF_BITS:
+        return Decimal(n)
+    h = _LEAF_BITS
+    while 2 * h < n.bit_length():
+        h *= 2
+    hi = _EXACT.multiply(_decimal(n >> h), _pow2(h))
+    return _EXACT.add(hi, _decimal(n & ((1 << h) - 1)))
+
+
 def _fmt(value) -> str:
     """Deterministic scalar rendering: exact rationals as p/q, floats shortest.
 
@@ -68,8 +105,9 @@ def _fmt(value) -> str:
     """
     if isinstance(value, (int, Fraction)):
         value = Fraction(value)
-        text = str(Decimal(value.numerator))
-        return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+        sign = "-" if value.numerator < 0 else ""
+        text = sign + str(_decimal(abs(value.numerator)))
+        return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
     return repr(float(value))
 
 

@@ -6,12 +6,15 @@ binary64 floats.  Everything observable about it flows through the graph
 Laplacian L.  Whether the graph is connected is read off the edge list by
 union-find, never from L or a pivot.  Once it is, L with one vertex grounded
 is positive definite, and one elimination without pivoting answers every
-question: exact networks delete the ground's row and column, scale L to an
-integer matrix and run fraction-free (Bareiss) elimination; float networks
-ground in place, giving the ground the row and column of the identity, and
-factor the whole matrix with Cholesky.  Each elimination builds the L it
-consumes; only L+ is cached.  Both are plain NumPy arrays: Fraction object
-arrays on exact networks, float64 on float ones.
+question.  Exact networks build D*L, scaled by the lcm D of the conductance
+denominators, as rows of Python ints straight from the edge list, leaving
+out the ground's row and column, and run fraction-free (Bareiss) elimination
+on its upper triangle alone, since the matrix stays symmetric.  Float
+networks build L as float64, ground in place, giving the ground the row and
+column of the identity, and factor the whole matrix with Cholesky.  Each
+elimination builds the matrix it consumes; only L+ is cached.  L and L+ are
+plain NumPy arrays: Fraction object arrays on exact networks, float64 on
+float ones.
 
 * Effective resistances and the Kirchhoff index come from the Moore-Penrose
   pseudoinverse L+ = P G P, where G is the inverse of the grounded block,
@@ -63,14 +66,34 @@ def _components(net: Network) -> list[int]:
     return [find(x) for x in range(net.order)]
 
 
-def _integer_form(lap: np.ndarray) -> tuple[list[list[int]], int]:
-    """(D*L, D) for an exact Laplacian, D the lcm of its entries' denominators."""
-    d = math.lcm(*(x.denominator for x in lap.flat))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in lap], d
+def _integer_laplacian(net: Network, order: Sequence[int]) -> tuple[list[list[int]], int]:
+    """(D*L, D) for an exact network, as int rows over the vertices in `order`.
+
+    D is the lcm of the numerators of the non-loop resistances, which are the
+    denominators of the conductances, so a conductance q/p adds the integer
+    q * (D/p) to D*L.  Rows and columns follow `order`; a vertex missing from
+    it is dropped, which is how the eliminations ground it.
+    """
+    d = math.lcm(*(r.numerator for i, j, r in net._edges if i != j))
+    at = {v: k for k, v in enumerate(order)}
+    rows = [[0] * len(at) for _ in at]
+    for i, j, r in net._edges:
+        if i == j:
+            continue
+        g = r.denominator * (d // r.numerator)
+        a, b = at.get(i), at.get(j)
+        if a is not None:
+            rows[a][a] += g
+        if b is not None:
+            rows[b][b] += g
+            if a is not None:
+                rows[a][b] -= g
+                rows[b][a] -= g
+    return rows, d
 
 
 def _schur(a: list[list[int]], k: int) -> tuple[list[list[int]], int]:
-    """Fraction-free (Bareiss) elimination of the first k pivots of an integer matrix.
+    """Fraction-free (Bareiss) elimination of the first k pivots of a symmetric integer matrix.
 
     Eliminates in place, overwriting `a`, so callers pass a matrix built for
     it.  Returns the trailing block T and the last pivot p, which is the
@@ -78,19 +101,28 @@ def _schur(a: list[list[int]], k: int) -> tuple[list[list[int]], int]:
     the Schur complement of that block, so every division below is exact.
     There is no pivoting: callers pass matrices whose leading k x k block is
     positive definite, so every pivot is positive.
+
+    Every step keeps the matrix symmetric, so only the upper triangle is read
+    and updated: row r changes from column r on, and its multiplier is read
+    from the pivot row.  The lower triangle of `a` is left stale, and T is
+    mirrored from its upper triangle at the end.
     """
     prev = 1
     for s in range(k):
-        pivot = a[s][s]
-        top = a[s][s + 1:]
-        for row in a[s + 1:]:
-            f = row[s]
+        top = a[s]
+        pivot = top[s]
+        for r in range(s + 1, len(a)):
+            row = a[r]
+            f = top[r]
             if f:
-                row[s + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[s + 1:], top)]
+                row[r:] = [(pivot * x - f * y) // prev for x, y in zip(row[r:], top[r:])]
             else:
-                row[s + 1:] = [pivot * x // prev for x in row[s + 1:]]
+                row[r:] = [pivot * x // prev for x in row[r:]]
         prev = pivot
-    return [row[k:] for row in a[k:]], prev
+    t = [row[k:] for row in a[k:]]
+    for i, row in enumerate(t):
+        row[:i] = [t[j][i] for j in range(i)]
+    return t, prev
 
 
 def _cholesky(lap: np.ndarray, ground: Sequence[int]) -> np.ndarray:
@@ -117,17 +149,18 @@ def _cholesky(lap: np.ndarray, ground: Sequence[int]) -> np.ndarray:
 def pinv_laplacian(net: Network) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a connected network's Laplacian.
 
-    Builds the Laplacian, grounds one vertex and inverts the remaining block
-    L0: exact Laplacians ground vertex 0 by keeping only L0, scaled to the
-    integer matrix D*L0, and read -(D*L0)^-1 off the Schur complement of the
-    bordered matrix [[D*L0, I], [I, 0]].  Float ones ground the vertex with
-    the largest conductance sum (the lowest index among equals) in place, as
-    a row and column of the identity, and invert the whole matrix by
-    Cholesky; the inverse is L0^-1 around a 1 at the ground, which is then
-    zeroed.  Then L+ = P G P, with G the inverse of L0
-    padded with zeros at the ground and P = I - J/N: a Fraction object array
-    on an exact network, float64 otherwise.  Raises DisconnectedNetworkError
-    when `net` is not connected.
+    Grounds one vertex and inverts the remaining block L0 of the Laplacian.
+    Exact networks ground vertex 0 by building only the integer rows of
+    D*L0 and read -(D*L0)^-1 off the Schur complement of the bordered
+    matrix [[D*L0, I], [I, 0]]; L+ is symmetric, so each of its entries is
+    built once, on or above the diagonal, and mirrored.  Float networks
+    build the Laplacian, ground the vertex with the largest conductance sum
+    (the lowest index among equals) in place, as a row and column of the
+    identity, and invert the whole matrix by Cholesky; the inverse is L0^-1
+    around a 1 at the ground, which is then zeroed.  Then L+ = P G P, with
+    G the inverse of L0 padded with zeros at the ground and P = I - J/N: a
+    Fraction object array on an exact network, float64 otherwise.  Raises
+    DisconnectedNetworkError when `net` is not connected.
 
     The float error does not depend on the overall scale of the conductances.
     It is about machine epsilon times the condition number of L0, which grows
@@ -140,12 +173,13 @@ def pinv_laplacian(net: Network) -> np.ndarray:
     n = net.order
     if len(set(_components(net))) > 1:
         raise DisconnectedNetworkError("network is disconnected")
-    lap = net.laplacian()
-    m = n - 1
     if net.is_exact:
-        a, d = _integer_form(lap[1:, 1:])
-        eye = [[int(i == j) for j in range(m)] for i in range(m)]
-        bordered = [row + e for row, e in zip(a, eye)] + [e + [0] * m for e in eye]
+        m = n - 1
+        a, d = _integer_laplacian(net, range(1, n))
+        # [[D*L0, I], [I, 0]]: _schur reads only the upper triangle, so the
+        # lower identity block is left as zeros
+        bordered = [row + [0] * i + [1] + [0] * (m - 1 - i) for i, row in enumerate(a)]
+        bordered += [[0] * (2 * m) for _ in range(m)]
         t, det = _schur(bordered, m)
         # L0^-1 = -d T / det.  Pad T at the ground and centre it in integers:
         # n^2 (P T P)_ij = n^2 T_ij - n (s_i + s_j) + S, with s the row sums
@@ -154,11 +188,15 @@ def pinv_laplacian(net: Network) -> np.ndarray:
         sums = [sum(row) for row in t]
         total = sum(sums)
         scale = det * n * n
-        lp = [[Fraction(-d * (n * n * x - n * (si + sj) + total), scale)
-               for x, sj in zip(row, sums)] for row, si in zip(t, sums)]
+        lp = []
+        for i, (row, si) in enumerate(zip(t, sums)):
+            lp.append([lp[j][i] for j in range(i)]
+                      + [Fraction(-d * (n * n * x - n * (si + sj) + total), scale)
+                         for x, sj in zip(row[i:], sums[i:])])
         return np.array(lp, dtype=object)
     from scipy.linalg import lapack
 
+    lap = net.laplacian()
     k = int(np.argmax(lap.diagonal()))
     inv, _ = lapack.dpotri(_cholesky(lap, [k]), overwrite_c=1)
     # potri fills the upper triangle; the lower one stays zero
@@ -248,13 +286,20 @@ class Network:
     def laplacian(self) -> np.ndarray:
         """Weighted graph Laplacian (conductance = 1/resistance; loops ignored).
 
-        A new, writable array on every call: a Fraction object array on an
-        exact network, float64 otherwise.  A float sum of parallel
+        A new, writable array on every call: on an exact network a Fraction
+        object array, D*L / D from the integer rows the exact eliminations
+        use; float64 otherwise, summed edge by edge.  A float sum of parallel
         conductances past the binary64 range is inf, without a warning: the
-        Cholesky factorization then reports it.
+        Cholesky factorization then reports it.  No elimination of an exact
+        network calls this.
         """
         n = self.order
-        rows = np.full((n, n), Fraction(0), dtype=object) if self._exact else np.zeros((n, n))
+        if self._exact:
+            rows, d = _integer_laplacian(self, range(n))
+            zero = Fraction(0)
+            return np.array([[Fraction(x, d) if x else zero for x in row] for row in rows],
+                            dtype=object)
+        rows = np.zeros((n, n))
         with np.errstate(over="ignore"):
             for iu, iv, r in self._edges:
                 if iu == iv:
@@ -315,7 +360,7 @@ def matrix_tree_count(net: Network):
         raise TypeError("matrix-tree counting requires an exact network")
     if len(set(_components(net))) > 1:
         return 0
-    a, d = _integer_form(net.laplacian()[1:, 1:])
+    a, d = _integer_laplacian(net, range(1, net.order))
     m = net.order - 1
     _, det = _schur(a, m)
     count = Fraction(det, d ** m)
@@ -327,14 +372,14 @@ def kron_reduce(net: Network, keep: Sequence[str]) -> Network:
 
     Eliminates the interior vertices first and reads the surviving edges off
     the Schur complement onto the kept vertices, in the order given.  Exact
-    networks run `_schur` on D*L with the kept vertices permuted last.  Float
-    ones take the kept rows and columns of L, then ground the kept vertices in
-    place, so one Cholesky solve against those columns (their kept rows
-    zeroed) gives the interior's share L_II^-1 L_IK, with exact zeros at the
-    kept rows.  An entry is
-    exactly zero when no path joins its two vertices through the interior,
-    and that pair gets no edge.  Any other entry is nonzero, and in float
-    mode it is a sum of terms of one sign, so it cannot round to zero.  Raises
+    networks run `_schur` on the integer rows of D*L, built with the kept
+    vertices last.  Float ones take the kept rows and columns of L, then
+    ground the kept vertices in place, so one Cholesky solve against those
+    columns (their kept rows zeroed) gives the interior's share
+    L_II^-1 L_IK, with exact zeros at the kept rows.  An entry is exactly
+    zero when no path joins its two vertices through the interior, and that
+    pair gets no edge.  Any other entry is nonzero, and in float mode it is
+    a sum of terms of one sign, so it cannot round to zero.  Raises
     DisconnectedNetworkError when some interior vertex has no path to any
     kept vertex.
     """
@@ -348,16 +393,16 @@ def kron_reduce(net: Network, keep: Sequence[str]) -> Network:
     roots = _components(net)
     if not set(roots) <= {roots[k] for k in kidx}:
         raise DisconnectedNetworkError("interior vertices have no path to any kept vertex")
-    lap = net.laplacian()
     if net.is_exact:
         kept = set(kidx)
         perm = [i for i in range(net.order) if i not in kept] + kidx
-        a, d = _integer_form(lap[np.ix_(perm, perm)])
+        a, d = _integer_laplacian(net, perm)
         t, pivot = _schur(a, net.order - len(kidx))
         conductance = [[Fraction(-x, pivot * d) for x in row] for row in t]
     else:
         from scipy.linalg import lapack
 
+        lap = net.laplacian()
         rhs = lap[:, kidx]
         kept_rows = lap[kidx, :]
         rhs[kidx, :] = 0.0

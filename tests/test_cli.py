@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import prismres
-from prismres.cli import CAPS, main
+from prismres.cli import CAPS, _fmt, main
 from prismres.ladder import ladder_terminal_resistances
 from prismres.network import build_prism, network_from_json, network_to_json, resistance_oracle
 from prismres.prism import kirchhoff_closed, prism_resistance, resistance_table
@@ -108,6 +109,31 @@ def test_kirchhoff_prints_past_the_int_str_limit(capsys):
     assert len(num) > 4300
     want = kirchhoff_closed(20000)
     assert (int(Decimal(num)), int(Decimal(den))) == (want.numerator, want.denominator)
+
+
+def test_fmt_writes_what_str_writes():
+    rng = random.Random(14)
+    values = [0, 1, -1, 1 << 4096, (1 << 4096) - 1, -(1 << 8193) - 5, Fraction(-3, 1 << 9000)]
+    for digits in (1, 2, 1233, 1234, 2467, 4300, 4301, 20000, 65537):
+        x = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        values += [x, -x, Fraction(x, rng.randrange(1, 10 ** 60) * 2 + 1)]
+    values.append(rng.randrange(10 ** 299999, 10 ** 300000))  # str() alone takes seconds here
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for value in values:
+            assert _fmt(value) == str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_fmt_of_a_million_rung_kirchhoff_index_is_fast():
+    value = kirchhoff_closed(10 ** 6)
+    start = time.perf_counter()
+    text = _fmt(value)
+    elapsed = time.perf_counter() - start
+    assert len(text) > 500_000
+    assert elapsed < 1.5, elapsed
 
 
 def test_kirchhoff_float_methods(capsys):

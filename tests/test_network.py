@@ -331,6 +331,125 @@ def test_metric_triangle_inequality_randomized():
         assert ac <= ab + bc
 
 
+# -- the exact oracle against an independent reference -------------------
+
+
+def _fraction_laplacian(net: Network) -> list[list[Fraction]]:
+    """The Laplacian accumulated edge by edge in Fractions."""
+    at = {v: k for k, v in enumerate(net.vertices)}
+    lap = [[Fraction(0)] * net.order for _ in range(net.order)]
+    for u, v, r in net.edges:
+        if u != v:
+            i, j = at[u], at[v]
+            lap[i][i] += 1 / r
+            lap[j][j] += 1 / r
+            lap[i][j] -= 1 / r
+            lap[j][i] -= 1 / r
+    return lap
+
+
+def _gauss_jordan(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], Fraction]:
+    """(inverse, determinant) of a nonsingular Fraction matrix, with row swaps."""
+    m = len(a)
+    rows = [row + [Fraction(int(i == j)) for j in range(m)] for i, row in enumerate(a)]
+    det = Fraction(1)
+    for c in range(m):
+        p = next(r for r in range(c, m) if rows[r][c] != 0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        pivot = rows[c][c]
+        det *= pivot
+        rows[c] = [x / pivot for x in rows[c]]
+        for r in range(m):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [row[m:] for row in rows], det
+
+
+def _random_multigraph(rng: random.Random, size: int, distinct: int) -> Network:
+    """Connected exact multigraph with a loop and a parallel edge, its
+    resistances drawn from `distinct` random p/q with p, q <= 10^6."""
+    pool = [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) for _ in range(distinct)]
+    labels = [f"v{k}" for k in range(size)]
+    edges = [(labels[k], labels[rng.randrange(k)], rng.choice(pool)) for k in range(1, size)]
+    edges += [(labels[rng.randrange(size)], labels[rng.randrange(size)], rng.choice(pool))
+              for _ in range(size)]
+    edges.append((labels[-1], labels[-1], rng.choice(pool)))
+    if size > 1:
+        edges.append(edges[0][:2] + (rng.choice(pool),))
+    rng.shuffle(edges)
+    return Network(labels, edges)
+
+
+def _centred_inverse(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], Fraction]:
+    """(X+, det(X + J/k)) for a symmetric k x k X with zero row sums and a
+    one-dimensional kernel: X+ = (X + J/k)^-1 - J/k."""
+    j = Fraction(1, len(a))
+    inv, det = _gauss_jordan([[x + j for x in row] for row in a])
+    return [[x - j for x in row] for row in inv], det
+
+
+# every resistance its own draw up to order 19; past that a few draws, as
+# exact eliminations slow down with the lcm of the conductance denominators
+@pytest.mark.parametrize("size, distinct", [(1, 4), (2, 6), (3, 8), (4, 10), (6, 14), (9, 20),
+                                            (13, 28), (19, 40), (27, 8), (40, 4)])
+def test_exact_oracle_matches_gauss_jordan(size, distinct):
+    rng = random.Random(1400 + size)
+    net = _random_multigraph(rng, size, distinct)
+    lp, det = _centred_inverse(_fraction_laplacian(net))
+    _assert_exact_equal(pinv_laplacian(net), lp)
+    # L + J/N has the eigenvalues of L, with a 1 in place of the 0, and the
+    # product of L's nonzero eigenvalues is N times the weighted tree count
+    assert matrix_tree_count(net) == det / size
+    for k in range(1, min(size, 4) + 1):
+        kidx = rng.sample(range(size), k)
+        # the reduced Laplacian's pseudoinverse is L+ on the kept vertices,
+        # centred: both give the kept vertices' potentials for currents
+        # that enter and leave there
+        c = Fraction(1, k)
+        block = [[lp[a][b] for b in kidx] for a in kidx]
+        sums = [sum(row) for row in block]
+        total = sum(sums)
+        centred = [[x - c * (sa + sb) + c * c * total for x, sb in zip(row, sums)]
+                   for row, sa in zip(block, sums)]
+        lap_k, _ = _centred_inverse(centred)
+        keep = [net.vertices[i] for i in kidx]
+        want = {(keep[a], keep[b]): 1 / -lap_k[a][b]
+                for a in range(k) for b in range(a + 1, k) if lap_k[a][b]}
+        reduced = kron_reduce(net, keep)
+        assert reduced.vertices == tuple(keep)
+        assert {(u, v): r for u, v, r in reduced.edges} == want
+
+
+def test_exact_eliminations_build_no_laplacian(monkeypatch, prisms):
+    nets = [_random_multigraph(random.Random(7), 12, 26), prisms(3)]
+    want = [(pinv_laplacian(net), network_to_json(kron_reduce(net, net.vertices[:3])),
+             matrix_tree_count(net)) for net in nets]
+
+    def no_laplacian(self):
+        raise AssertionError("an exact elimination built a Fraction Laplacian")
+
+    monkeypatch.setattr(Network, "laplacian", no_laplacian)
+    for net, (lp, reduced, trees) in zip(nets, want):
+        _assert_exact_equal(pinv_laplacian(net), lp)
+        assert network_to_json(kron_reduce(net, net.vertices[:3])) == reduced
+        assert matrix_tree_count(net) == trees
+
+
+@pytest.mark.parametrize("net", [
+    Network(["a"], []),
+    Network(["a"], [("a", "a", Fraction(2, 3))]),
+    Network(list("abc"), []),
+    Network(list("abc"), [("a", "b", 2), ("a", "b", Fraction(2, 3)), ("c", "c", 5),
+                          ("b", "c", Fraction(7, 4)), ("c", "b", Fraction(7, 4))]),
+    _random_multigraph(random.Random(3), 15, 32),
+], ids=["one-vertex", "one-vertex-loop", "no-edges", "loops-and-parallels", "random"])
+def test_exact_laplacian_equals_the_fraction_accumulation(net):
+    _assert_exact_equal(net.laplacian(), _fraction_laplacian(net))
+
+
 # -- spanning trees -------------------------------------------------------
 
 
