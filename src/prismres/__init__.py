@@ -6,10 +6,14 @@ checked against the same forms in exact Q(sqrt 3) arithmetic; the oracle
 recomputes everything from Laplacian pseudoinverses so the two routes can be
 compared at full precision.
 
-The oracle (network) and the checks that join the two routes (verify) need
-NumPy, and SciPy's LAPACK once a float network is factored; together they
-take most of a second to import.  Their names are resolved on first use, so
-the closed forms load only the standard library.
+No module imports anything beyond the standard library and the package
+when it is imported; the oracle (network) and the checks that join the two
+routes (verify) import NumPy where they build an array and SciPy where they
+call LAPACK.  Their names are still resolved on first use, because the
+closed forms need neither module: where no bytecode is cached
+(PYTHONDONTWRITEBYTECODE=1) an eager import compiles both on every start,
+about 12 ms, and took `import prismres` from 77 to 89 ms on a two-core
+x86-64 machine.
 """
 
 import importlib as _importlib
@@ -56,7 +60,7 @@ from .prism import (
     trig_sum,
 )
 
-# the public names of the two modules that import NumPy
+# the public names of the two modules the closed forms do not use
 _LAZY = {
     "network": (
         "DisconnectedNetworkError", "Network", "SingularMatrixError",

@@ -17,9 +17,11 @@ negative (failed verification, disconnected network, a float network
 binary64 cannot factor, a float closed form whose n binary64 cannot hold),
 2 malformed input, including an n past the command's entry in CAPS.
 
-Only net, verify and kirchhoff --method oracle import the oracle, and with
-it NumPy; SciPy loads only once a float network is factored, which verify
-and kirchhoff --method oracle always do.  The closed-form commands load the
+Only net, verify and kirchhoff --method oracle import the oracle.  Importing
+it loads only the standard library: NumPy loads once an array is built, so
+exact net spantrees and net reduce, which eliminate on Python ints, never
+load it, and SciPy once a float network is factored, which verify and
+kirchhoff --method oracle always do.  The closed-form commands load the
 standard library alone.
 """
 
@@ -37,10 +39,11 @@ from fractions import Fraction
 from . import _IMPORTED_AT
 from .prism import kirchhoff_closed, kirchhoff_float, prism_resistance, resistance_table
 
-# Largest n each command serves, checked before it does any work.  Each cap
-# costs about 1 GB of peak memory, except those of the exact closed forms,
-# which need a few MB but take minutes there.  Float resistance and
-# --method coth run in O(1) and are not capped.
+# Largest n each command serves (verify's --n-max), checked before it does
+# any work.  Each cap costs about 1 GB of peak memory, except those of the
+# exact closed forms and verify, which need little memory but take minutes
+# there: verify's time grows about as n^4.  Float resistance and --method
+# coth run in O(1) and are not capped.
 CAPS = {
     "resistance": 10 ** 7,
     "kirchhoff --method closed": 10 ** 7,
@@ -48,6 +51,7 @@ CAPS = {
     "kirchhoff --method oracle": 3000,
     "table --format csv": 2000,
     "table --format json": 500,
+    "verify --n-max": 40,
 }
 
 
@@ -59,6 +63,8 @@ def _cap_key(args) -> str | None:
         return None if args.method == "coth" else f"kirchhoff --method {args.method}"
     if args.command == "table":
         return f"table --format {args.format}"
+    if args.command == "verify":
+        return "verify --n-max"
     return None
 
 
@@ -279,15 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _oracle_errors() -> tuple[type, ...]:
-    """The oracle's honest negatives, looked up only once an exception is raised.
+    """The oracle's honest negatives, imported only once an exception is raised.
 
-    Neither can be raised before the oracle is imported, and an empty tuple
-    matches no exception.
+    Importing the oracle loads only the standard library, and only error
+    paths reach this.
     """
-    network = sys.modules.get(f"{__package__}.network")
-    if network is None:
-        return ()
-    return network.DisconnectedNetworkError, network.SingularMatrixError
+    from .network import DisconnectedNetworkError, SingularMatrixError
+
+    return DisconnectedNetworkError, SingularMatrixError
 
 
 def main(argv=None) -> int:
@@ -302,7 +307,7 @@ def _main(argv, start: float) -> int:
         return int(exc.code or 0)
     try:
         key = _cap_key(args)
-        if key and args.n > CAPS[key]:
+        if key and (args.n_max if args.command == "verify" else args.n) > CAPS[key]:
             raise ValueError(f"{key} is capped at n={CAPS[key]}")
         return args.handler(args)
     except (OverflowError, *_oracle_errors()) as exc:

@@ -14,7 +14,9 @@ networks build L as float64, ground in place, giving the ground the row and
 column of the identity, and factor the whole matrix with Cholesky.  Each
 elimination builds the matrix it consumes; only L+ is cached.  L and L+ are
 plain NumPy arrays: Fraction object arrays on exact networks, float64 on
-float ones.
+float ones.  NumPy is imported only where an array is built and SciPy only
+where LAPACK is called, so exact Kron reduction and tree counts, which run
+on Python ints, load neither.
 
 * Effective resistances and the Kirchhoff index come from the Moore-Penrose
   pseudoinverse L+ = P G P, where G is the inverse of the grounded block,
@@ -27,10 +29,8 @@ float ones.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 
 class DisconnectedNetworkError(ValueError):
@@ -125,7 +125,7 @@ def _schur(a: list[list[int]], k: int) -> tuple[list[list[int]], int]:
     return t, prev
 
 
-def _cholesky(lap: np.ndarray, ground: Sequence[int]) -> np.ndarray:
+def _cholesky(lap, ground: Sequence[int]):
     """Upper Cholesky factor of a float Laplacian grounded in place.
 
     Grounds `lap` in place, giving each vertex in `ground` the row and column
@@ -134,6 +134,7 @@ def _cholesky(lap: np.ndarray, ground: Sequence[int]) -> np.ndarray:
     a Laplacian built for it.  Its transpose is Fortran-ordered, so LAPACK
     factors it in place, and the factor is Fortran-ordered as well.
     """
+    import numpy as np
     from scipy.linalg import lapack
 
     lap[ground, :] = 0.0
@@ -146,7 +147,7 @@ def _cholesky(lap: np.ndarray, ground: Sequence[int]) -> np.ndarray:
     return factor
 
 
-def pinv_laplacian(net: Network) -> np.ndarray:
+def pinv_laplacian(net: Network):
     """Moore-Penrose pseudoinverse of a connected network's Laplacian.
 
     Grounds one vertex and inverts the remaining block L0 of the Laplacian.
@@ -170,6 +171,8 @@ def pinv_laplacian(net: Network) -> np.ndarray:
     rounded into the small ones next to it: on a path of 1e7 and 1e-7 ohms,
     grounding the 1e7-ohm end would cost 2% of the resistance.
     """
+    import numpy as np
+
     n = net.order
     if len(set(_components(net))) > 1:
         raise DisconnectedNetworkError("network is disconnected")
@@ -250,7 +253,7 @@ class Network:
                                  f"and a finite conductance, got r = {r}")
             indexed.append((self._index[u], self._index[v], r))
         self._edges = tuple(indexed)
-        self._pinv: np.ndarray | None = None
+        self._pinv = None
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -283,7 +286,7 @@ class Network:
         mode = "exact" if self._exact else "float"
         return f"Network({self.order} vertices, {self.edge_count} edges, {mode})"
 
-    def laplacian(self) -> np.ndarray:
+    def laplacian(self):
         """Weighted graph Laplacian (conductance = 1/resistance; loops ignored).
 
         A new, writable array on every call: on an exact network a Fraction
@@ -293,6 +296,8 @@ class Network:
         Cholesky factorization then reports it.  No elimination of an exact
         network calls this.
         """
+        import numpy as np
+
         n = self.order
         if self._exact:
             rows, d = _integer_laplacian(self, range(n))
@@ -311,7 +316,7 @@ class Network:
                 rows[iv, iu] -= g
         return rows
 
-    def pseudoinverse(self) -> np.ndarray:
+    def pseudoinverse(self):
         """pinv_laplacian of this network, cached and read-only."""
         if self._pinv is None:
             pinv = pinv_laplacian(self)

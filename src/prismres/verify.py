@@ -6,17 +6,17 @@ on two rung cross-sections) as oracle Networks, and run_checks builds actual
 networks, computes exact pseudoinverses, and compares them with the closed
 forms, route by route.  Each check reports a pass/fail plus either a case
 count or the first counterexample, and its wall time; a crash inside a check
-is itself reported as a failure rather than propagated.
+is itself reported as a failure rather than propagated.  NumPy is imported
+only by run_checks, so importing this module loads the standard library and
+the two routes alone.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-
-import numpy as np
 
 from .genfib import gfib, prism_spanning_tree_count
 from .ladder import DeltaEdges, ladder_delta_edges, ladder_terminal_resistances
@@ -63,14 +63,13 @@ def _corner_edges(delta: DeltaEdges, corners) -> list[tuple[str, str, Fraction]]
     return edges
 
 
-def four_corner_laplacian(delta: DeltaEdges) -> np.ndarray:
+def four_corner_laplacian(delta: DeltaEdges):
     """Laplacian of a reduced ladder's corner graph, ordered [p_n, q_n, p1, q1]."""
     labels = ["a", "b", "c", "d"]
     return Network(labels, _corner_edges(delta, labels)).laplacian()
 
 
-@dataclass(frozen=True)
-class EightTerminalStencil:
+class EightTerminalStencil(namedtuple("EightTerminalStencil", "lower upper")):
     """Conductance stencil of a prism reduced onto two rung cross-sections.
 
     Cutting the n-prism at rungs i-1 and i (kept vertices, in order:
@@ -81,8 +80,7 @@ class EightTerminalStencil:
     an open circuit when i = 3.
     """
 
-    lower: DeltaEdges
-    upper: DeltaEdges
+    __slots__ = ()
 
     @classmethod
     def for_prism(cls, n: int, i: int) -> "EightTerminalStencil":
@@ -110,7 +108,7 @@ class EightTerminalStencil:
                  + [(t[0], t[3], 1), (t[1], t[2], 1), (t[4], t[7], 1), (t[5], t[6], 1)])
         return Network(t, edges)
 
-    def laplacian(self) -> np.ndarray:
+    def laplacian(self):
         return self.network().laplacian()
 
 
@@ -118,12 +116,7 @@ class EightTerminalStencil:
 # the checks
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-    elapsed_ms: float = 0.0
+CheckResult = namedtuple("CheckResult", "name passed detail elapsed_ms", defaults=("", 0.0))
 
 
 class _Counterexample(Exception):
@@ -138,6 +131,8 @@ def run_checks(n_max: int = 10, tol: float = 1e-9) -> list[CheckResult]:
     sums; it must be finite and nonnegative, since every comparison with NaN
     is false and an infinite bound accepts anything.
     """
+    import numpy as np
+
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     if not (math.isfinite(tol) and tol >= 0):
