@@ -7,13 +7,14 @@ recomputes everything from Laplacian pseudoinverses so the two routes can be
 compared at full precision.
 
 No module imports anything beyond the standard library and the package
-when it is imported; the oracle (network) and the checks that join the two
-routes (verify) import NumPy where they build an array and SciPy where they
-call LAPACK.  Their names are still resolved on first use, because the
-closed forms need neither module: where no bytecode is cached
-(PYTHONDONTWRITEBYTECODE=1) an eager import compiles both on every start,
-about 12 ms, and took `import prismres` from 77 to 89 ms on a two-core
-x86-64 machine.
+when it is imported.  Exact answers, the oracle's included, run on Python
+ints and Fractions alone; float ones run on NumPy and LAPACK, which the
+oracle (network) and the checks that join the two routes (verify) import
+only where they build an array or factor a matrix.  The names of these two
+modules are still resolved on first use, because the closed forms need
+neither module: where no bytecode is cached (PYTHONDONTWRITEBYTECODE=1) an
+eager import compiles both on every start, about 12 ms, and took
+`import prismres` from 77 to 89 ms on a two-core x86-64 machine.
 """
 
 import importlib as _importlib

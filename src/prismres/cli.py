@@ -18,11 +18,13 @@ binary64 cannot factor, a float closed form whose n binary64 cannot hold),
 2 malformed input, including an n past the command's entry in CAPS.
 
 Only net, verify and kirchhoff --method oracle import the oracle.  Importing
-it loads only the standard library: NumPy loads once an array is built, so
-exact net spantrees and net reduce, which eliminate on Python ints, never
-load it, and SciPy once a float network is factored, which verify and
-kirchhoff --method oracle always do.  The closed-form commands load the
-standard library alone.
+it loads only the standard library.  Exact answers run on Python ints and
+Fractions alone, so the four exact net commands never load NumPy or SciPy.
+Float answers run on NumPy and LAPACK: NumPy loads once an array is built
+and SciPy once a float network is factored, which verify and kirchhoff
+--method oracle always do.  Where one of the two is not installed, those
+commands print one error line and exit 1.  The closed-form commands load
+the standard library alone.
 """
 
 from __future__ import annotations
@@ -311,6 +313,13 @@ def _main(argv, start: float) -> int:
             raise ValueError(f"{key} is capped at n={CAPS[key]}")
         return args.handler(args)
     except (OverflowError, *_oracle_errors()) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ModuleNotFoundError as exc:
+        # a float network, verify or the oracle method without NumPy or
+        # SciPy installed; any other missing module is a bug and raises
+        if exc.name not in ("numpy", "scipy"):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, TypeError, OSError) as exc:

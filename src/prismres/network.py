@@ -12,11 +12,12 @@ out the ground's row and column, and run fraction-free (Bareiss) elimination
 on its upper triangle alone, since the matrix stays symmetric.  Float
 networks build L as float64, ground in place, giving the ground the row and
 column of the identity, and factor the whole matrix with Cholesky.  Each
-elimination builds the matrix it consumes; only L+ is cached.  L and L+ are
-plain NumPy arrays: Fraction object arrays on exact networks, float64 on
-float ones.  NumPy is imported only where an array is built and SciPy only
-where LAPACK is called, so exact Kron reduction and tree counts, which run
-on Python ints, load neither.
+elimination builds the matrix it consumes; only L+ is cached.  Exact answers
+run on Python ints and Fractions alone: exact L+ is a tuple of row tuples of
+Fractions.  Float answers run on NumPy and LAPACK: float L+ is a float64
+array.  NumPy is imported only where an array is built and SciPy only where
+LAPACK is called, so no exact answer loads either.  Network.laplacian still
+returns an array in both modes, and no exact elimination calls it.
 
 * Effective resistances and the Kirchhoff index come from the Moore-Penrose
   pseudoinverse L+ = P G P, where G is the inverse of the grounded block,
@@ -29,6 +30,7 @@ on Python ints, load neither.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
@@ -159,9 +161,10 @@ def pinv_laplacian(net: Network):
     (the lowest index among equals) in place, as a row and column of the
     identity, and invert the whole matrix by Cholesky; the inverse is L0^-1
     around a 1 at the ground, which is then zeroed.  Then L+ = P G P, with
-    G the inverse of L0 padded with zeros at the ground and P = I - J/N: a
-    Fraction object array on an exact network, float64 otherwise.  Raises
-    DisconnectedNetworkError when `net` is not connected.
+    G the inverse of L0 padded with zeros at the ground and P = I - J/N: on
+    an exact network a tuple of row tuples of Fractions, built without NumPy;
+    a float64 array otherwise.  Raises DisconnectedNetworkError when `net`
+    is not connected.
 
     The float error does not depend on the overall scale of the conductances.
     It is about machine epsilon times the condition number of L0, which grows
@@ -171,8 +174,6 @@ def pinv_laplacian(net: Network):
     rounded into the small ones next to it: on a path of 1e7 and 1e-7 ohms,
     grounding the 1e7-ohm end would cost 2% of the resistance.
     """
-    import numpy as np
-
     n = net.order
     if len(set(_components(net))) > 1:
         raise DisconnectedNetworkError("network is disconnected")
@@ -193,10 +194,11 @@ def pinv_laplacian(net: Network):
         scale = det * n * n
         lp = []
         for i, (row, si) in enumerate(zip(t, sums)):
-            lp.append([lp[j][i] for j in range(i)]
-                      + [Fraction(-d * (n * n * x - n * (si + sj) + total), scale)
-                         for x, sj in zip(row[i:], sums[i:])])
-        return np.array(lp, dtype=object)
+            lp.append(tuple([lp[j][i] for j in range(i)]
+                            + [Fraction(-d * (n * n * x - n * (si + sj) + total), scale)
+                               for x, sj in zip(row[i:], sums[i:])]))
+        return tuple(lp)
+    import numpy as np
     from scipy.linalg import lapack
 
     lap = net.laplacian()
@@ -317,10 +319,15 @@ class Network:
         return rows
 
     def pseudoinverse(self):
-        """pinv_laplacian of this network, cached and read-only."""
+        """pinv_laplacian of this network, cached and read-only.
+
+        Exact L+ is a tuple of row tuples, immutable already; a float64 L+
+        is made read-only.
+        """
         if self._pinv is None:
             pinv = pinv_laplacian(self)
-            pinv.flags.writeable = False
+            if not self._exact:
+                pinv.flags.writeable = False
             self._pinv = pinv
         return self._pinv
 
@@ -335,20 +342,22 @@ class Network:
 def resistance_oracle(net: Network, u: str, v: str):
     """Effective resistance between two vertices, from the pseudoinverse.
 
-    r(u, v) = L+[u,u] - 2 L+[u,v] + L+[v,v]; exact Fraction on exact networks,
-    float otherwise.  Raises DisconnectedNetworkError when the network is not
-    connected, since the pseudoinverse needs a connected network.
+    r(u, v) = L+[u,u] - 2 L+[u,v] + L+[v,v]; an exact Fraction, computed
+    without NumPy, on exact networks, and a float otherwise.  Both forms of
+    L+ are read row by row, and each row once: on a float64 array every row
+    read makes a view.  Raises DisconnectedNetworkError when the network is
+    not connected, since the pseudoinverse needs a connected network.
     """
     i = net.vertex_index(u)
     j = net.vertex_index(v)
     lp = net.pseudoinverse()
-    return lp[i, i] - 2 * lp[i, j] + lp[j, j]
+    row_i, row_j = lp[i], lp[j]
+    return row_i[i] - 2 * row_i[j] + row_j[j]
 
 
 def kirchhoff_oracle(net: Network):
     """Sum of effective resistances over all vertex pairs: N * trace(L+)."""
-    lp = net.pseudoinverse()
-    total = sum(lp[i, i] for i in range(net.order))
+    total = sum(map(operator.getitem, net.pseudoinverse(), range(net.order)))
     return net.order * total
 
 

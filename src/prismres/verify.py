@@ -6,9 +6,10 @@ on two rung cross-sections) as oracle Networks, and run_checks builds actual
 networks, computes exact pseudoinverses, and compares them with the closed
 forms, route by route.  Each check reports a pass/fail plus either a case
 count or the first counterexample, and its wall time; a crash inside a check
-is itself reported as a failure rather than propagated.  NumPy is imported
-only by run_checks, so importing this module loads the standard library and
-the two routes alone.
+is itself reported as a failure rather than propagated.  NumPy and SciPy
+are imported only by run_checks, before any check runs, so a missing one
+raises instead of failing every float check; importing this module loads
+the standard library and the two routes alone.
 """
 
 from __future__ import annotations
@@ -132,6 +133,7 @@ def run_checks(n_max: int = 10, tol: float = 1e-9) -> list[CheckResult]:
     is false and an infinite bound accepts anything.
     """
     import numpy as np
+    import scipy.linalg  # the float checks factor with LAPACK
 
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")

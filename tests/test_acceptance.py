@@ -145,7 +145,7 @@ def _exact_penrose_holds(net) -> bool:
     sparse = [[(j, lap[i, j]) for j in range(order) if lap[i, j] != 0] for i in range(order)]
     if any(sum(row) != 0 for row in pinv):
         return False
-    left = [[sum(v * pinv[k, j] for k, v in sparse[i]) for j in range(order)]
+    left = [[sum(v * pinv[k][j] for k, v in sparse[i]) for j in range(order)]
             for i in range(order)]
     for i in range(order):
         row = left[i]

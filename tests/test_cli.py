@@ -482,17 +482,79 @@ def test_the_cli_imports_no_typing():
     ("net", "resistance", "float", "p1", "q2"),
 ])
 def test_oracle_commands_load_numpy_and_scipy(argv, tmp_path):
-    # an exact network is never handed to LAPACK, so it loads NumPy alone, and
-    # only to build an array: exact tree counts and Kron reduction run on ints
+    # exact answers run on Python ints and Fractions alone, so an exact
+    # network loads neither; float ones, verify and the oracle method load both
     paths = {}
     for kind, net in (("exact", build_prism(3)), ("float", build_prism(3).to_float())):
         paths[kind] = tmp_path / f"{kind}.json"
         paths[kind].write_text(json.dumps(network_to_json(net)))
-    if "exact" in argv:
-        expected = [] if argv[1] in ("spantrees", "reduce") else ["numpy"]
-    else:
-        expected = ["numpy", "scipy"]
+    expected = [] if "exact" in argv else ["numpy", "scipy"]
     assert _loaded_after(*(str(paths.get(a, a)) for a in argv)) == expected
+
+
+# runs one command through main() in a fresh interpreter in which NumPy and
+# SciPy cannot be imported, as where neither is installed
+_WITHOUT = """
+import sys
+
+class Blocker:
+    def find_spec(self, name, path=None, target=None):
+        top = name.partition(".")[0]
+        if top in sys.argv[1].split(","):
+            raise ModuleNotFoundError(f"No module named {top!r}", name=top)
+
+sys.meta_path.insert(0, Blocker())
+from prismres.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _run_without(blocked: str, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(prismres.__file__)))
+    return subprocess.run([sys.executable, "-c", _WITHOUT, blocked, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_exact_net_commands_run_without_numpy_or_scipy(tmp_path):
+    path = tmp_path / "exact.json"
+    path.write_text(json.dumps({"vertices": ["a", "b", "c"],
+                                "edges": [{"u": "a", "v": "b", "r": 1}, {"u": "b", "v": "c", "r": 2}]}))
+    for argv, out in ((("resistance", str(path), "a", "c"), "3\n"),
+                      (("kirchhoff", str(path)), "6\n"),
+                      (("spantrees", str(path)), "1/2\n")):
+        proc = _run_without("numpy,scipy", "net", *argv)
+        assert (proc.returncode, proc.stdout) == (0, out), proc.stderr
+    proc = _run_without("numpy,scipy", "net", "reduce", str(path), "--keep", "a,c")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["edges"] == [{"u": "a", "v": "c", "r": "3"}]
+
+
+@pytest.mark.parametrize("blocked", ["numpy", "scipy"])
+@pytest.mark.parametrize("argv", [
+    ("net", "resistance", "float", "p1", "q2"),
+    ("net", "kirchhoff", "float"),
+    ("net", "reduce", "float", "--keep", "p1,q2"),
+    ("verify", "--n-max", "2"),
+    ("kirchhoff", "5", "--method", "oracle"),
+])
+def test_a_missing_numpy_or_scipy_is_one_error_line(argv, blocked, tmp_path):
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(network_to_json(build_prism(3).to_float())))
+    proc = _run_without(blocked, *(str(path) if a == "float" else a for a in argv))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    lines = {f"error: No module named '{name}'" for name in blocked.split(",")}
+    assert proc.stderr.splitlines()[0] in lines, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_any_other_missing_module_still_raises(monkeypatch, capsys):
+    def missing(args):
+        raise ModuleNotFoundError("No module named 'numpyx'", name="numpyx")
+
+    monkeypatch.setattr("prismres.cli._cmd_kirchhoff", missing)
+    with pytest.raises(ModuleNotFoundError):
+        main(["kirchhoff", "5"])
+    capsys.readouterr()
 
 
 def test_resistance_deterministic(capsys):

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import prismres
@@ -135,7 +136,7 @@ def _plus(eps):
 
 def _plus_one_at_the_corner(fn):
     def bumped(*args):
-        matrix = fn(*args).copy()
+        matrix = np.array(fn(*args))  # a copy, of L+ rows too
         matrix[0, 0] += 1
         return matrix
     return bumped
