@@ -42,6 +42,7 @@ from .genfib import (
 from .ladder import (
     DeltaEdges,
     LadderParams,
+    ladder_branch,
     ladder_delta_edges,
     ladder_params,
     ladder_terminal_resistances,
@@ -102,7 +103,7 @@ __all__ = [
     "Qsqrt3", "SQRT3", "TWO_MINUS_SQRT3", "TWO_PLUS_SQRT3",
     "rational_to_float", "to_rational", "two_minus_sqrt3_pow",
     "gfib", "gfib_closed", "prism_spanning_tree_count", "reciprocal_power_identity",
-    "DeltaEdges", "LadderParams", "ladder_delta_edges", "ladder_params",
+    "DeltaEdges", "LadderParams", "ladder_branch", "ladder_delta_edges", "ladder_params",
     "ladder_terminal_resistances",
     "DisconnectedNetworkError", "Network", "SingularMatrixError",
     "build_ladder", "build_prism", "kirchhoff_oracle", "kron_reduce",

@@ -14,8 +14,10 @@ from fractions import Fraction
 
 from .exact import Qsqrt3, two_minus_sqrt3_pow
 
-_ONE = Qsqrt3(1)
+_HEAD = Qsqrt3(-1, -1)
 _TWO_SQRT3 = Qsqrt3(0, 2)
+# the sign of x^n in the denominator of each branch
+_BRANCH_SIGNS = {"rung_diag": -1, "side_rung": 1}
 _HALF = Fraction(1, 2)
 
 
@@ -32,23 +34,34 @@ class LadderParams(namedtuple("LadderParams", "n rung_diag side_rung side_diag")
     __slots__ = ()
 
 
-def ladder_params(n: int) -> LadderParams:
-    """Closed-form reduction parameters of the n-rung ladder, n >= 1.
+def ladder_branch(n: int, name: str) -> Qsqrt3:
+    """One entry of ladder_params(n) alone: name "rung_diag" or "side_rung", n >= 1.
 
-    With x = 2 - sqrt3:
+    With x = 2 - sqrt3,
 
         rung_diag = -1 - sqrt3 + 2 sqrt3 / (1 - x^n)
         side_rung = -1 - sqrt3 + 2 sqrt3 / (1 + x^n)
-        side_diag = n - 1
+
+    Each costs one inversion in Q(sqrt 3), so a caller that needs one entry
+    does not pay for the other.
     """
     if n < 1:
         raise ValueError(f"ladder must have at least one rung, got n={n}")
-    xn = two_minus_sqrt3_pow(n)
-    head = Qsqrt3(-1, -1)
+    if name not in _BRANCH_SIGNS:
+        raise ValueError(f"branch must be one of {tuple(_BRANCH_SIGNS)}, got {name!r}")
+    return _HEAD + _TWO_SQRT3 / (1 + _BRANCH_SIGNS[name] * two_minus_sqrt3_pow(n))
+
+
+def ladder_params(n: int) -> LadderParams:
+    """Closed-form reduction parameters of the n-rung ladder, n >= 1.
+
+    rung_diag and side_rung are the two ladder_branch forms, and
+    side_diag = n - 1.
+    """
     return LadderParams(
         n=n,
-        rung_diag=head + _TWO_SQRT3 / (_ONE - xn),
-        side_rung=head + _TWO_SQRT3 / (_ONE + xn),
+        rung_diag=ladder_branch(n, "rung_diag"),
+        side_rung=ladder_branch(n, "side_rung"),
         side_diag=Qsqrt3(n - 1),
     )
 

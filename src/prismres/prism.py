@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .exact import Qsqrt3, SQRT3, TWO_MINUS_SQRT3, two_minus_sqrt3_pow
 from .genfib import _check_n, gfib
-from .ladder import ladder_params
+from .ladder import ladder_branch
 
 KINDS = ("pp", "pq")
 MODES = ("exact", "float")
@@ -204,29 +204,31 @@ def prism_resistance_via_reduction(n: int, i: int, kind: str) -> Fraction:
 
     Cutting the prism at the two target rungs splits it into an arc of i - 1
     rungs and an arc of n - i + 1 rungs; each contributes one parallel branch
-    between the targets.  Conductance form throughout: the zero-length arc
-    boundary (i = n) makes one branch either a bare unit path (same ring) or
-    an open circuit (cross ring), both of which are finite conductances.
+    between the targets.  The flat parts of the two branches are paths, which
+    combine to (n - i + 1)(i - 1)/n.  The field part of each is one
+    ladder_branch, side_rung for same-ring targets and rung_diag for
+    cross-ring ones: R_i of the i-rung ladder, and R_o = 2 + that of the
+    (n - i)-rung ladder.  They combine as one parallel resistance
+    R_o R_i/(R_o + R_i), one inversion in Q(sqrt 3).  At i = n the outer arc
+    is a bare unit path for same-ring targets, R_o = 1, and an open circuit
+    for cross-ring ones, which leaves R_i.  Neither the arcs nor the sum
+    touch the integer kernel, and the sqrt(3) component is certified to
+    cancel before the result is returned.
     """
     _check_args(n, i, kind)
     if i < 2:
         raise ValueError(f"the reduction route needs 2 <= i <= n, got i={i}")
     outer = n - i
-
-    # flat branch: both arcs reduce to simple paths of resistance (length - 1)
-    par_flat = 1 / (Fraction(1, outer + 1) + Fraction(1, i - 1))
-
-    # field branch: side_rung for same-ring targets, rung_diag for cross-ring
-    pick = (lambda p: p.side_rung) if kind == "pp" else (lambda p: p.rung_diag)
-    if outer == 0:
-        # bare boundary: 2 + side_rung -> 1 exactly; 2 + rung_diag -> open
-        g_outer = Qsqrt3(1) if kind == "pp" else Qsqrt3(0)
+    branch = "side_rung" if kind == "pp" else "rung_diag"
+    r_inner = ladder_branch(i, branch)
+    if outer:
+        r_outer = 2 + ladder_branch(outer, branch)
+        par_field = r_outer * r_inner / (r_outer + r_inner)
+    elif kind == "pp":
+        par_field = r_inner / (1 + r_inner)
     else:
-        g_outer = (2 + pick(ladder_params(outer))).inverse()
-    g_inner = pick(ladder_params(i)).inverse()
-    par_field = (g_outer + g_inner).inverse()
-
-    total = (par_field + par_flat) * Fraction(1, 2)
+        par_field = r_inner
+    total = (par_field + Fraction((outer + 1) * (i - 1), n)) * Fraction(1, 2)
     if not total.is_rational:
         raise ArithmeticError(f"sqrt(3) component failed to cancel for n={n}, i={i}, {kind}")
     return total.as_rational()

@@ -7,9 +7,10 @@ networks, computes exact pseudoinverses, and compares them with the closed
 forms, route by route.  Each check reports a pass/fail plus either a case
 count or the first counterexample, and its wall time; a crash inside a check
 is itself reported as a failure rather than propagated.  NumPy and SciPy
-are imported only by run_checks, before any check runs, so a missing one
-raises instead of failing every float check; importing this module loads
-the standard library and the two routes alone.
+are imported only by run_checks, after it validates its arguments and
+before any check runs, so malformed input is refused without them and a
+missing one raises instead of failing every float check; importing this
+module loads the standard library and the two routes alone.
 """
 
 from __future__ import annotations
@@ -132,13 +133,13 @@ def run_checks(n_max: int = 10, tol: float = 1e-9) -> list[CheckResult]:
     sums; it must be finite and nonnegative, since every comparison with NaN
     is false and an infinite bound accepts anything.
     """
-    import numpy as np
-    import scipy.linalg  # the float checks factor with LAPACK
-
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    import numpy as np
+    import scipy.linalg  # the float checks factor with LAPACK
+
     sizes = range(1, n_max + 1)
     prisms = {n: build_prism(n) for n in sizes}
     ladders = {n: build_ladder(n) for n in sizes}

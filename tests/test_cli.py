@@ -430,12 +430,12 @@ print(code, *sorted({"numpy", "scipy"} & set(sys.modules)), file=sys.stderr)
 """
 
 
-def _loaded_after(*argv: str) -> list[str]:
+def _loaded_after(*argv: str, code: int = 0) -> list[str]:
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(prismres.__file__)))
     proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
-    code, *loaded = proc.stderr.splitlines()[-1].split()
-    assert code == "0", proc.stderr
+    got, *loaded = proc.stderr.splitlines()[-1].split()
+    assert got == str(code), proc.stderr
     return loaded
 
 
@@ -545,6 +545,17 @@ def test_a_missing_numpy_or_scipy_is_one_error_line(argv, blocked, tmp_path):
     lines = {f"error: No module named '{name}'" for name in blocked.split(",")}
     assert proc.stderr.splitlines()[0] in lines, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [("verify", "--n-max", "0"), ("verify", "--tol", "nan")])
+def test_verify_refuses_malformed_input_before_it_imports_numpy(argv):
+    # exit 2 even where NumPy and SciPy are missing, and neither is loaded
+    # where they are installed
+    proc = _run_without("numpy,scipy", *argv)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert _loaded_after(*argv, code=2) == []
 
 
 def test_any_other_missing_module_still_raises(monkeypatch, capsys):

@@ -135,3 +135,115 @@ def test_rational_to_float_saturates():
     assert rational_to_float(-big) == -math.inf
     assert rational_to_float(1 / big) == 0.0
     assert rational_to_float(Fraction(3, 4)) == 0.75
+
+
+# -- the unreduced integer representation ---------------------------------
+# A field element is held as (p + q sqrt3)/d, not in lowest terms; these
+# tests pin that its public semantics are those of two lowest-terms Fractions.
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] + 3 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_inv(x):
+    norm = x[0] * x[0] - 3 * x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+def _ref_pow(x, k):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        out = _ref_mul(out, x)
+    return _ref_inv(out) if k < 0 else out
+
+
+def _lowest(value: Fraction) -> bool:
+    return value.denominator > 0 and math.gcd(value.numerator, value.denominator) == 1
+
+
+def test_differential_against_a_fraction_pair_reference():
+    rng = random.Random(20261019)
+
+    def small():
+        return Fraction(rng.randrange(-30, 31), rng.randrange(1, 13))
+
+    pool = []
+    for _ in range(8):
+        a, b = small(), small()
+        pool.append((Qsqrt3(a, b), (a, b)))
+    for step in range(500):
+        (x, rx), (y, ry) = rng.choice(pool), rng.choice(pool)
+        if rng.random() < 0.25:  # a scalar operand on either side
+            s = rng.choice([rng.randrange(-5, 6), small()])
+            y, ry = s, (Fraction(s), Fraction(0))
+            if rng.random() < 0.5:
+                x, rx, y, ry = y, ry, x, rx
+        op = rng.choice("+-*/^")
+        if op == "+":
+            z, rz = x + y, (rx[0] + ry[0], rx[1] + ry[1])
+        elif op == "-":
+            z, rz = x - y, (rx[0] - ry[0], rx[1] - ry[1])
+        elif op == "*":
+            z, rz = x * y, _ref_mul(rx, ry)
+        elif op == "/":
+            if ry == (0, 0):
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+                continue
+            z, rz = x / y, _ref_mul(rx, _ref_inv(ry))
+        else:
+            if not isinstance(x, Qsqrt3) or (rx == (0, 0)):
+                continue
+            k = rng.randrange(-3, 4)
+            z, rz = x ** k, _ref_pow(rx, k)
+        assert (z.a, z.b) == rz, (step, op)
+        assert _lowest(z.a) and _lowest(z.b), step
+        assert z == Qsqrt3(*rz) and hash(z) == hash(Qsqrt3(*rz)), step
+        assert z.is_rational == (rz[1] == 0), step
+        if max(abs(c.numerator) + c.denominator for c in rz) < 2 ** 200:
+            pool[rng.randrange(len(pool))] = (z, rz)
+
+
+def test_equal_values_by_different_paths_compare_and_hash_equal():
+    x = Qsqrt3(Fraction(3, 4), Fraction(-5, 6))
+    for k in range(1, 9):
+        one = x ** k * x ** -k
+        assert one == 1 and one == Fraction(1) and one == Qsqrt3(1), k
+        assert hash(one) == hash(1) == hash(Fraction(1)), k
+        assert one.is_rational and one.as_rational() == 1, k
+    u, v, w = Qsqrt3(Fraction(1, 6), 2), Qsqrt3(-3, Fraction(7, 10)), Qsqrt3(Fraction(9, 4), -1)
+    roundabout = (u + v) * w / w
+    assert roundabout == u + v and hash(roundabout) == hash(u + v)
+    assert len({roundabout, u + v, v + u}) == 1
+    half = Qsqrt3(Fraction(2, 4)) * 6 / 3
+    assert half == 1 and hash(half) == hash(1) and str(half) == "1"
+    assert x + x.conjugate() == Fraction(3, 2) and (x + x.conjugate()).is_rational
+    assert repr(roundabout) == repr(u + v)
+
+
+def test_components_are_in_lowest_terms_after_long_chains():
+    x, total = Qsqrt3(Fraction(2, 3), Fraction(1, 5)), Qsqrt3(0)
+    for k in range(1, 40):
+        total = total + Fraction(1, k) * x ** k - Qsqrt3(Fraction(1, k + 1), Fraction(k, 7))
+    back = total
+    for k in range(1, 40):
+        back = back * (k + 1) / (k + 1) + Qsqrt3(Fraction(k, 3), -Fraction(1, k)) \
+            - Qsqrt3(Fraction(k, 3), -Fraction(1, k))
+    assert back == total and hash(back) == hash(total)
+    for value in (total, back, total * total.inverse()):
+        assert _lowest(value.a) and _lowest(value.b)
+    assert total * total.inverse() == 1
+
+
+def test_unit_powers_never_take_a_gcd(monkeypatch):
+    want = {k: two_minus_sqrt3_pow(k) for k in range(-70, 71)}
+
+    def refuse(*args):
+        raise AssertionError("gcd taken")
+
+    with monkeypatch.context() as m:
+        m.setattr(math, "gcd", refuse)
+        got = {k: two_minus_sqrt3_pow(k) for k in range(-70, 71)}
+        same = all(got[k] == want[k] for k in got)
+    assert same

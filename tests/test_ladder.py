@@ -7,6 +7,7 @@ import pytest
 
 from prismres.exact import Qsqrt3, SQRT3
 from prismres.ladder import (
+    ladder_branch,
     ladder_delta_edges,
     ladder_params,
     ladder_terminal_resistances,
@@ -58,6 +59,21 @@ def test_params_match_oracle_differences(ladders):
         assert p.rung_diag == r_rung + r_diag - r_side
         assert p.side_rung == r_rung + r_side - r_diag
         assert p.side_diag == r_side + r_diag - r_rung
+
+
+def test_branches_stay_rational_at_large_n():
+    limit = SQRT3 - 1.0
+    for n in (257, 1000, 4097):
+        for name in ("rung_diag", "side_rung"):
+            value = ladder_branch(n, name)
+            assert value.is_rational and math.isclose(float(value), limit), (n, name)
+
+
+def test_branch_validates():
+    with pytest.raises(ValueError):
+        ladder_branch(5, "side_diag")
+    with pytest.raises(ValueError):
+        ladder_branch(0, "rung_diag")
 
 
 def test_terminal_resistances_known_values():

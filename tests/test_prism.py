@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from prismres.genfib import gfib, prism_spanning_tree_count
-from prismres.ladder import ladder_params
+from prismres.ladder import ladder_delta_edges, ladder_params
 from prismres.network import resistance_oracle
 from prismres.prism import (
     PrismVertex,
@@ -165,11 +165,28 @@ def test_field_route_does_not_call_the_integer_kernel(monkeypatch):
         raise AssertionError(f"gfib({k}) called")
 
     monkeypatch.setattr("prismres.prism.gfib", refuse)
+    monkeypatch.setattr("prismres.genfib.gfib", refuse)
     for n in (1, 2, 5, 13, 40):
+        assert ladder_params(n).side_diag == n - 1
+        if n >= 2:
+            assert ladder_delta_edges(n).n == n
         for i in range(1, n + 1):
             for kind in ("pp", "pq"):
                 assert type(prism_resistance_base(n, i, kind)) is Fraction, (n, i, kind)
                 assert type(_float_base(n, i, kind)) is float, (n, i, kind)
+                if i >= 2:
+                    assert type(prism_resistance_via_reduction(n, i, kind)) is Fraction, \
+                        (n, i, kind)
+
+
+@pytest.mark.parametrize("n", [1000, 4097])
+def test_field_route_equals_integer_route_at_large_n(n):
+    # big enough for the unreduced field elements to carry thousands of bits
+    for i in (2, n // 3, n // 2 + 1, n):
+        for kind, other in (("pp", f"p{i}"), ("pq", f"q{i}")):
+            want = prism_resistance(n, "p1", other)
+            assert prism_resistance_base(n, i, kind) == want, (n, i, kind)
+            assert prism_resistance_via_reduction(n, i, kind) == want, (n, i, kind)
 
 
 def test_kirchhoff_and_trig_sum_equal_the_a2n_forms():
@@ -282,6 +299,8 @@ def test_via_reduction_boundary_is_bare():
     par_flat = 1 / (Fraction(1, 1) + Fraction(1, 9))
     par_field = (1 + ladder_params(10).side_rung.inverse()).inverse()
     assert lhs == ((par_field + par_flat) * Fraction(1, 2)).as_rational()
+    open_outer = (ladder_params(10).rung_diag + par_flat) * Fraction(1, 2)
+    assert prism_resistance_via_reduction(10, 10, "pq") == open_outer.as_rational()
 
 
 def test_via_reduction_matches_base():
