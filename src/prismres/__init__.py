@@ -29,16 +29,9 @@ from .exact import (
     SQRT3,
     TWO_MINUS_SQRT3,
     TWO_PLUS_SQRT3,
-    rational_to_float,
-    to_rational,
     two_minus_sqrt3_pow,
 )
-from .genfib import (
-    gfib,
-    gfib_closed,
-    prism_spanning_tree_count,
-    reciprocal_power_identity,
-)
+from .genfib import gfib, prism_spanning_tree_count
 from .ladder import (
     DeltaEdges,
     LadderParams,
@@ -100,9 +93,8 @@ def __dir__() -> list[str]:
 __version__ = "0.1.0"
 
 __all__ = [
-    "Qsqrt3", "SQRT3", "TWO_MINUS_SQRT3", "TWO_PLUS_SQRT3",
-    "rational_to_float", "to_rational", "two_minus_sqrt3_pow",
-    "gfib", "gfib_closed", "prism_spanning_tree_count", "reciprocal_power_identity",
+    "Qsqrt3", "SQRT3", "TWO_MINUS_SQRT3", "TWO_PLUS_SQRT3", "two_minus_sqrt3_pow",
+    "gfib", "prism_spanning_tree_count",
     "DeltaEdges", "LadderParams", "ladder_branch", "ladder_delta_edges", "ladder_params",
     "ladder_terminal_resistances",
     "DisconnectedNetworkError", "Network", "SingularMatrixError",

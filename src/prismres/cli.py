@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import decimal
-import functools
 import json
 import sys
 import time
@@ -76,33 +75,26 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[de
 _LEAF_BITS = 4096
 
 
-@functools.lru_cache(maxsize=None)
-def _pow2(h: int) -> Decimal:
-    """2**h as a Decimal, for h = _LEAF_BITS * 2**k.
-
-    The cache holds one entry per doubling up to the largest integer written,
-    and those entries together are about that integer's size.
-    """
-    if h == _LEAF_BITS:
-        return Decimal(1 << h)
-    half = _pow2(h // 2)
-    return _EXACT.multiply(half, half)
-
-
-def _decimal(n: int) -> Decimal:
+def _decimal(n: int, powers: list[Decimal]) -> Decimal:
     """A nonnegative int as a Decimal, split as hi * 2**h + lo.
 
     Decimal(n) converts in time quadratic in the digits of n; splitting by
     bits leaves that cost to the leaves, and the exact Decimal products
-    above them are subquadratic.
+    above them are subquadratic.  powers[j] is 2**(_LEAF_BITS * 2**j); the
+    list is grown here as far as n needs it, so one list serves the
+    conversions of one value and is dropped with it.
     """
     if n.bit_length() <= _LEAF_BITS:
         return Decimal(n)
-    h = _LEAF_BITS
-    while 2 * h < n.bit_length():
-        h *= 2
-    hi = _EXACT.multiply(_decimal(n >> h), _pow2(h))
-    return _EXACT.add(hi, _decimal(n & ((1 << h) - 1)))
+    j = 0
+    while 2 * _LEAF_BITS << j < n.bit_length():
+        j += 1
+    while len(powers) <= j:
+        powers.append(_EXACT.multiply(powers[-1], powers[-1]) if powers
+                      else Decimal(1 << _LEAF_BITS))
+    h = _LEAF_BITS << j
+    hi = _EXACT.multiply(_decimal(n >> h, powers), powers[j])
+    return _EXACT.add(hi, _decimal(n & ((1 << h) - 1), powers))
 
 
 def _fmt(value) -> str:
@@ -113,9 +105,12 @@ def _fmt(value) -> str:
     """
     if isinstance(value, (int, Fraction)):
         value = Fraction(value)
+        powers = []
         sign = "-" if value.numerator < 0 else ""
-        text = sign + str(_decimal(abs(value.numerator)))
-        return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
+        text = sign + str(_decimal(abs(value.numerator), powers))
+        if value.denominator == 1:
+            return text
+        return f"{text}/{_decimal(value.denominator, powers)}"
     return repr(float(value))
 
 

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: arbitrary-precision rationals and the field Q(sqrt 3).
+"""The field Q(sqrt 3), exactly.
 
 Every closed form in this package lives in Q(sqrt 3).  The field route
 computes the provably rational quantities here and certifies them rational
@@ -14,25 +14,6 @@ import math
 from fractions import Fraction
 
 SQRT3 = math.sqrt(3.0)
-
-
-def to_rational(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction, or string like "5/12" to an exact rational.
-
-    Floats are rejected: silently promoting a binary float to its exact
-    binary-expansion rational is never what an exact computation wants.
-    """
-    if isinstance(value, float):
-        raise TypeError(f"refusing to coerce float {value!r} to an exact rational")
-    return Fraction(value)
-
-
-def rational_to_float(value: Fraction) -> float:
-    """Nearest binary64 to an exact rational, saturating to +-inf on overflow."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
 
 
 class Qsqrt3:
@@ -55,8 +36,16 @@ class Qsqrt3:
 
     __slots__ = ("_p", "_q", "_d")
 
-    def __init__(self, a: int | Fraction = 0, b: int | Fraction = 0):
-        a, b = to_rational(a), to_rational(b)
+    def __init__(self, a: int | str | Fraction = 0, b: int | str | Fraction = 0):
+        """The element a + b sqrt3 from ints, Fractions or strings such as "5/12".
+
+        Floats are rejected: silently promoting a binary float to its exact
+        binary-expansion rational is never what an exact computation wants.
+        """
+        for c in (a, b):
+            if isinstance(c, float):
+                raise TypeError(f"refusing to coerce float {c!r} to an exact rational")
+        a, b = Fraction(a), Fraction(b)
         d = math.lcm(a.denominator, b.denominator)
         self._p = a.numerator * (d // a.denominator)
         self._q = b.numerator * (d // b.denominator)
@@ -222,7 +211,25 @@ class Qsqrt3:
         return self.a
 
     def __float__(self) -> float:
-        return rational_to_float(self.a) + rational_to_float(self.b) * SQRT3
+        """The value in binary64 within 2 ulp, +-inf past its range, never nan.
+
+        Where p and q share a sign, p + q sqrt3 is taken to 64 fraction bits
+        by one isqrt and divided by d as ints.  Otherwise it is the norm
+        p^2 - 3 q^2 over d (p - q sqrt3), whose two terms share a sign.  So
+        nothing cancels, and the one int division rounds correctly.
+        """
+        p, q, d = self._p, self._q, self._d
+        root = math.isqrt(3 * q * q << 128)
+        if q < 0:
+            root = -root
+        if p * q >= 0:
+            num, den = (p << 64) + root, d << 64
+        else:
+            num, den = (p * p - 3 * q * q) << 64, d * ((p << 64) - root)
+        try:
+            return num / den
+        except OverflowError:
+            return math.inf if (num > 0) == (den > 0) else -math.inf
 
 
 TWO_MINUS_SQRT3 = Qsqrt3(2, -1)

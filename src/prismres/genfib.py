@@ -2,15 +2,14 @@
 
 The sequence satisfies a[k+2] = 4 a[k+1] - a[k] and is the exact-integer
 backbone of every closed form in this package: (2 + sqrt3)^k = u_k + a_k sqrt3
-with u_k = a[k+1] - 2 a[k], so its terms are (up to the factor 2 sqrt3) the
-powers of 2 - sqrt3, see gfib_closed.  The closed forms of a prism of n rungs
+with u_k = a[k+1] - 2 a[k], so a_k = ((2 + sqrt3)^k - (2 - sqrt3)^k)/(2 sqrt3).
+The field route checks that identity in Q(sqrt 3); this module imports
+nothing from the package.  The closed forms of a prism of n rungs
 read only a[k] and a[k+1] at k = n // 2 (and powers below them), because
 (2 + sqrt3)^n is the square of (2 + sqrt3)^k, times 2 + sqrt3 for odd n.
 """
 
 from __future__ import annotations
-
-from .exact import Qsqrt3, TWO_MINUS_SQRT3, two_minus_sqrt3_pow
 
 
 def _check_n(n: int) -> None:
@@ -35,26 +34,6 @@ def gfib(n: int) -> int:
         if bit == "1":
             u, a = 2 * u + 3 * a, u + 2 * a
     return a
-
-
-def gfib_closed(n: int) -> Qsqrt3:
-    """Closed form ((2-sqrt3)^-n - (2-sqrt3)^n) / (2 sqrt3), exactly.
-
-    Always equals Qsqrt3(gfib(n)); kept separate so the identity can be
-    checked rather than assumed.
-    """
-    xn = two_minus_sqrt3_pow(n)
-    return (xn.inverse() - xn) / Qsqrt3(0, 2)
-
-
-def reciprocal_power_identity(n: int) -> bool:
-    """Check (2-sqrt3)^n * (a[n+1] - (2-sqrt3) a[n]) == 1 exactly.
-
-    This is the unit-norm identity that lets closed forms trade negative
-    powers of 2 - sqrt3 for sequence terms.
-    """
-    xn = two_minus_sqrt3_pow(n)
-    return xn * (Qsqrt3(gfib(n + 1)) - TWO_MINUS_SQRT3 * gfib(n)) == Qsqrt3(1)
 
 
 def prism_spanning_tree_count(n: int) -> int:

@@ -24,7 +24,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import Qsqrt3, SQRT3, TWO_MINUS_SQRT3, two_minus_sqrt3_pow
+from .exact import Qsqrt3, SQRT3, two_minus_sqrt3_pow
 from .genfib import _check_n, gfib
 from .ladder import ladder_branch
 
@@ -80,7 +80,7 @@ def prism_resistance_base(n: int, i: int, kind: str) -> Fraction:
     """
     _check_args(n, i, kind)
     m, l = n - i + 1, i - 1
-    xm, xl = TWO_MINUS_SQRT3 ** m, TWO_MINUS_SQRT3 ** l
+    xm, xl = two_minus_sqrt3_pow(m), two_minus_sqrt3_pow(l)
     xn = xm * xl
     tail = xm + xl
     if kind == "pp":

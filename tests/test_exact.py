@@ -1,5 +1,6 @@
-"""Field arithmetic in Q(sqrt 3) and the rational helpers."""
+"""Field arithmetic in Q(sqrt 3) and its conversions."""
 
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -10,8 +11,6 @@ from prismres.exact import (
     Qsqrt3,
     TWO_MINUS_SQRT3,
     TWO_PLUS_SQRT3,
-    rational_to_float,
-    to_rational,
     two_minus_sqrt3_pow,
 )
 
@@ -112,6 +111,7 @@ def test_float_conversion():
     assert abs(float(TWO_MINUS_SQRT3) - 0.2679491924311227) <= 1e-12
     assert float(Qsqrt3(Fraction(10 ** 400))) == math.inf
     assert float(Qsqrt3(Fraction(-10 ** 400))) == -math.inf
+    assert float(two_minus_sqrt3_pow(40)) == 1.3246407119438864e-23
 
 
 def test_str_forms():
@@ -122,19 +122,66 @@ def test_str_forms():
     assert str(Qsqrt3(0, Fraction(1, 3))) == "1/3*sqrt3"
 
 
-def test_to_rational():
-    assert to_rational("5/12") == Fraction(5, 12)
-    assert to_rational(7) == 7
-    with pytest.raises(TypeError):
-        to_rational(0.5)
+def test_components_accept_strings_and_reject_floats():
+    assert Qsqrt3("5/12") == Fraction(5, 12)
+    assert Qsqrt3(7, "-1/2") == Qsqrt3(7, Fraction(-1, 2))
+    for a, b in ((0.5, 0), (0, 0.5)):
+        with pytest.raises(TypeError, match="refusing to coerce float"):
+            Qsqrt3(a, b)
 
 
-def test_rational_to_float_saturates():
-    big = Fraction(10) ** 400
-    assert rational_to_float(big) == math.inf
-    assert rational_to_float(-big) == -math.inf
-    assert rational_to_float(1 / big) == 0.0
-    assert rational_to_float(Fraction(3, 4)) == 0.75
+def test_float_saturates_and_underflows():
+    big = 10 ** 400
+    assert float(Qsqrt3(Fraction(big))) == math.inf
+    assert float(Qsqrt3(0, -big)) == -math.inf
+    # the two components cancel to 10^400 (1 - sqrt3), not to inf - inf
+    assert float(Qsqrt3(big, -big)) == -math.inf
+    assert float(Qsqrt3(-big, big)) == math.inf
+    assert float(two_minus_sqrt3_pow(-600)) == math.inf
+    assert float(-two_minus_sqrt3_pow(-600)) == -math.inf
+    assert float(Qsqrt3(Fraction(1, big))) == 0.0
+    assert float(Qsqrt3(0, Fraction(-1, big))) == 0.0
+    assert float(two_minus_sqrt3_pow(600)) == 0.0
+    assert float(Qsqrt3(Fraction(3, 4))) == 0.75
+
+
+_DIGITS = decimal.Context(prec=3000, Emax=10 ** 6, Emin=-10 ** 6)
+_ROOT3 = _DIGITS.sqrt(decimal.Decimal(3))
+
+
+def _nearest(x: Qsqrt3) -> float:
+    """float(x) rounded from 3000 significant digits of a + b sqrt3.
+
+    3000 digits outlast the cancellation in (2 - sqrt3)^2000, whose
+    components have about 1144 digits each.
+    """
+    with decimal.localcontext(_DIGITS):
+        value = (decimal.Decimal(x.a.numerator) / x.a.denominator
+                 + decimal.Decimal(x.b.numerator) * _ROOT3 / x.b.denominator)
+    return float(value)
+
+
+def _within_two_ulp(got: float, want: float) -> bool:
+    return got == want or abs(got - want) <= 2 * math.ulp(want)
+
+
+def test_float_of_unit_powers_is_within_two_ulp():
+    for k in range(-600, 2001):
+        x = two_minus_sqrt3_pow(k)
+        want = _nearest(x)
+        assert _within_two_ulp(float(x), want), (k, float(x))
+        assert _within_two_ulp(float(-x), -want), k
+
+
+def test_float_of_random_elements_is_within_two_ulp():
+    rng = random.Random(20261019)
+
+    def draw():
+        return Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+
+    for step in range(20000):
+        x = Qsqrt3(draw(), draw())
+        assert _within_two_ulp(float(x), _nearest(x)), (step, x)
 
 
 # -- the unreduced integer representation ---------------------------------

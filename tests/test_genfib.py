@@ -4,13 +4,8 @@ import random
 
 import pytest
 
-from prismres.exact import Qsqrt3
-from prismres.genfib import (
-    gfib,
-    gfib_closed,
-    prism_spanning_tree_count,
-    reciprocal_power_identity,
-)
+from prismres.exact import Qsqrt3, two_minus_sqrt3_pow
+from prismres.genfib import gfib, prism_spanning_tree_count
 
 
 def test_first_terms():
@@ -25,13 +20,18 @@ def test_recurrence_at_random_spots():
 
 
 def test_closed_form_matches_iteration():
+    # Binet: a[k] = ((2 - sqrt3)^-k - (2 - sqrt3)^k) / (2 sqrt3), in the field
     for k in range(401):
-        assert gfib_closed(k) == Qsqrt3(gfib(k)), k
+        xk = two_minus_sqrt3_pow(k)
+        assert (two_minus_sqrt3_pow(-k) - xk) / Qsqrt3(0, 2) == gfib(k), k
 
 
 def test_reciprocal_power_identity():
-    assert all(reciprocal_power_identity(k) for k in range(121))
-    assert reciprocal_power_identity(400)
+    # (2 - sqrt3)^k (a[k+1] - (2 - sqrt3) a[k]) = 1, the unit norm that lets
+    # the closed forms trade negative powers of 2 - sqrt3 for sequence terms
+    x = two_minus_sqrt3_pow(1)
+    for k in (*range(121), 400):
+        assert two_minus_sqrt3_pow(k) * (gfib(k + 1) - x * gfib(k)) == 1, k
 
 
 def test_doubling_identity():

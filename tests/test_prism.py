@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from prismres.exact import Qsqrt3
 from prismres.genfib import gfib, prism_spanning_tree_count
 from prismres.ladder import ladder_delta_edges, ladder_params
 from prismres.network import resistance_oracle
@@ -177,6 +178,28 @@ def test_field_route_does_not_call_the_integer_kernel(monkeypatch):
                 if i >= 2:
                     assert type(prism_resistance_via_reduction(n, i, kind)) is Fraction, \
                         (n, i, kind)
+
+
+def test_integer_route_does_not_use_the_field(monkeypatch):
+    def integer_route():
+        out = []
+        for n in (1, 2, 7, 12, 41, 100):
+            # every ring distance, so both sides of the 2 l <= n // 2 branch
+            out += [prism_resistance(n, "p1", f"{ring}{l + 1}")
+                    for l in range(n // 2 + 1) for ring in "pq"]
+            out += [resistance_table(n, "exact"), kirchhoff_closed(n),
+                    trig_sum(n, "closed"), prism_spanning_tree_count(n), gfib(n)]
+        return out
+
+    def refuse(*args):
+        raise AssertionError("field element built")
+
+    want = integer_route()
+    monkeypatch.setattr(Qsqrt3, "__init__", refuse)
+    monkeypatch.setattr(Qsqrt3, "_of", classmethod(refuse))
+    with pytest.raises(AssertionError, match="field element built"):
+        prism_resistance_base(5, 2, "pp")
+    assert integer_route() == want
 
 
 @pytest.mark.parametrize("n", [1000, 4097])

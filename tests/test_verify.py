@@ -52,6 +52,8 @@ def test_the_oracle_and_the_closed_forms_import_apart():
     for module in ("exact", "genfib", "ladder", "prism"):
         own, _ = _imports(module)
         assert not own & {"network", "verify", "cli", "__init__"}, (module, own)
+    # the integer kernel owes nothing to the field route that checks it
+    assert _imports("genfib")[0] == set()
 
 
 def _module_level_imports(module: str) -> set[str]:
