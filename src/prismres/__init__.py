@@ -3,8 +3,8 @@ for prism and ladder networks, with an independent linear-algebra oracle.
 
 The closed forms are computed over the integers from (2 + sqrt3)^n, and
 checked against the same forms in exact Q(sqrt 3) arithmetic; the oracle
-recomputes everything from Laplacian pseudoinverses so the two routes can be
-compared at full precision.
+recomputes everything from the grounded Laplacian (exactly, through its
+pseudoinverse) so the two routes can be compared at full precision.
 
 No module imports anything beyond the standard library and the package
 when it is imported.  Exact answers, the oracle's included, run on Python

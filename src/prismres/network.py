@@ -12,16 +12,20 @@ out the ground's row and column, and run fraction-free (Bareiss) elimination
 on its upper triangle alone, since the matrix stays symmetric.  Float
 networks build L as float64, ground in place, giving the ground the row and
 column of the identity, and factor the whole matrix with Cholesky.  Each
-elimination builds the matrix it consumes; only L+ is cached.  Exact answers
-run on Python ints and Fractions alone: exact L+ is a tuple of row tuples of
-Fractions.  Float answers run on NumPy and LAPACK: float L+ is a float64
-array.  NumPy is imported only where an array is built and SciPy only where
-LAPACK is called, so no exact answer loads either.  Network.laplacian still
-returns an array in both modes, and no exact elimination calls it.
+elimination builds the matrix it consumes.  An exact network caches L+, a
+float one the inverse M of its lower Cholesky factor, with M^T M = G, and
+L+ only once pseudoinverse() asks for it.  Exact answers run on Python ints
+and Fractions alone: exact L+ is a tuple of row tuples of Fractions.  Float
+answers run on NumPy and LAPACK: M and float L+ are float64 arrays.  NumPy
+is imported only where an array is built and SciPy only where LAPACK is
+called, so no exact answer loads either.  Network.laplacian still returns an
+array in both modes, and no exact elimination calls it.
 
-* Effective resistances and the Kirchhoff index come from the Moore-Penrose
-  pseudoinverse L+ = P G P, where G is the inverse of the grounded block,
-  padded with zeros at the ground, and P = I - J/N.
+* The Moore-Penrose pseudoinverse is L+ = P G P, where G is the inverse of
+  the grounded block, padded with zeros at the ground, and P = I - J/N.
+  Exact effective resistances and the Kirchhoff index are read off it.
+  Float ones need no L+: r(u, v) = |M[:,u] - M[:,v]|^2 and the Kirchhoff
+  index N trace(L+) is N |M P|_F^2, both sums of squares.
 * Spanning-tree counts are the determinant of the grounded block.
 * Reductions onto a terminal set stop the elimination after the interior
   pivots: what is left is the Schur complement, the Kron-reduced Laplacian.
@@ -40,8 +44,14 @@ class DisconnectedNetworkError(ValueError):
 
 
 class SingularMatrixError(ArithmeticError):
-    """A float Cholesky factorization failed on a connected network too
-    ill-conditioned (or too ill-scaled) for binary64."""
+    """A float Cholesky factorization, or the inversion of its factor, failed
+    on a connected network too ill-conditioned (or too ill-scaled) for
+    binary64."""
+
+
+# columns of M that kirchhoff_oracle centres at a time: at order 6000 they
+# take 6 MB, against 288 MB for M
+_COLUMNS = 128
 
 
 # ---------------------------------------------------------------------------
@@ -127,26 +137,69 @@ def _schur(a: list[list[int]], k: int) -> tuple[list[list[int]], int]:
     return t, prev
 
 
-def _cholesky(lap, ground: Sequence[int]):
-    """Upper Cholesky factor of a float Laplacian grounded in place.
+def _finite(a, info: int):
+    """`a`, when LAPACK reported success and left every entry finite."""
+    import numpy as np
+
+    if info != 0 or not np.isfinite(a).all():
+        raise SingularMatrixError("binary64 Cholesky factorization failed: the conductances are "
+                                  "too far apart or too large for floats; use exact resistances")
+    return a
+
+
+def _require_connected(net: Network) -> None:
+    if len(set(_components(net))) > 1:
+        raise DisconnectedNetworkError("network is disconnected")
+
+
+def _cholesky(lap, ground: Sequence[int], lower: int = 0):
+    """Cholesky factor of a float Laplacian grounded in place, upper unless `lower`.
 
     Grounds `lap` in place, giving each vertex in `ground` the row and column
     of the identity, which is positive definite whenever every other vertex
     has a path to the ground, and overwrites it with the factor: callers pass
     a Laplacian built for it.  Its transpose is Fortran-ordered, so LAPACK
-    factors it in place, and the factor is Fortran-ordered as well.
+    factors it in place, and the factor is Fortran-ordered as well, with
+    zeros in its other triangle.
     """
-    import numpy as np
     from scipy.linalg import lapack
 
     lap[ground, :] = 0.0
     lap[:, ground] = 0.0
     lap[ground, ground] = 1.0
-    factor, info = lapack.dpotrf(lap.T, overwrite_a=1)
-    if info != 0 or not np.isfinite(factor).all():
-        raise SingularMatrixError("binary64 Cholesky factorization failed: the conductances are "
-                                  "too far apart or too large for floats; use exact resistances")
-    return factor
+    return _finite(*lapack.dpotrf(lap.T, lower=lower, overwrite_a=1))
+
+
+def _inverse_factor(net: Network):
+    """M, with M^T M = G, the inverse of the grounded block padded with zeros.
+
+    Builds the float Laplacian and grounds the vertex with the largest
+    conductance sum (the lowest index among equals), factors it as C C^T
+    and inverts C in place, all in the Laplacian's own memory: M = C^-1 is
+    lower triangular and Fortran-ordered, so each vertex's column is
+    contiguous and zero above its diagonal.  The ground's row and column of
+    the identity stay a lone 1 in C and in M; zeroing it pads L0^-1 with
+    zeros.  Raises DisconnectedNetworkError when `net` is not connected, and
+    SingularMatrixError when the factorization or the inversion fails or
+    leaves an entry that is not finite.
+
+    The float error does not depend on the overall scale of the conductances.
+    It is about machine epsilon times the condition number of L0, which grows
+    with the size of the network and with the spread of its conductances.
+    Grounding the largest diagonal keeps that vertex's conductances out of
+    L0, so that a large conductance is not eliminated before the ground and
+    rounded into the small ones next to it: on a path of 1e7 and 1e-7 ohms,
+    grounding the 1e7-ohm end would cost 2% of the resistance.
+    """
+    import numpy as np
+    from scipy.linalg import lapack
+
+    _require_connected(net)
+    lap = net.laplacian()
+    k = int(np.argmax(lap.diagonal()))
+    m = _finite(*lapack.dtrtri(_cholesky(lap, [k], lower=1), lower=1, overwrite_c=1))
+    m[k, k] = 0.0
+    return m
 
 
 def pinv_laplacian(net: Network):
@@ -157,27 +210,19 @@ def pinv_laplacian(net: Network):
     D*L0 and read -(D*L0)^-1 off the Schur complement of the bordered
     matrix [[D*L0, I], [I, 0]]; L+ is symmetric, so each of its entries is
     built once, on or above the diagonal, and mirrored.  Float networks
-    build the Laplacian, ground the vertex with the largest conductance sum
-    (the lowest index among equals) in place, as a row and column of the
-    identity, and invert the whole matrix by Cholesky; the inverse is L0^-1
-    around a 1 at the ground, which is then zeroed.  Then L+ = P G P, with
-    G the inverse of L0 padded with zeros at the ground and P = I - J/N: on
-    an exact network a tuple of row tuples of Fractions, built without NumPy;
-    a float64 array otherwise.  Raises DisconnectedNetworkError when `net`
-    is not connected.
-
-    The float error does not depend on the overall scale of the conductances.
-    It is about machine epsilon times the condition number of L0, which grows
-    with the size of the network and with the spread of its conductances.
-    Grounding the largest diagonal keeps that vertex's conductances out of
-    L0, so that a large conductance is not eliminated before the ground and
-    rounded into the small ones next to it: on a path of 1e7 and 1e-7 ohms,
-    grounding the 1e7-ohm end would cost 2% of the resistance.
+    take M from _inverse_factor, which grounds the vertex with the largest
+    conductance sum, and form G = M^T M in place (LAPACK's lauum: potri is
+    the triangular inverse followed by lauum, so this is the same work).
+    Then L+ = P G P, with G the inverse of L0 padded with zeros at the
+    ground and P = I - J/N: on an exact network a tuple of row tuples of
+    Fractions, built without NumPy; a float64 array otherwise.  Raises
+    DisconnectedNetworkError when `net` is not connected.  Float resistances
+    and the Kirchhoff index do not call this; _inverse_factor says how
+    accurate the float answers are.
     """
     n = net.order
-    if len(set(_components(net))) > 1:
-        raise DisconnectedNetworkError("network is disconnected")
     if net.is_exact:
+        _require_connected(net)
         m = n - 1
         a, d = _integer_laplacian(net, range(1, n))
         # [[D*L0, I], [I, 0]]: _schur reads only the upper triangle, so the
@@ -201,13 +246,10 @@ def pinv_laplacian(net: Network):
     import numpy as np
     from scipy.linalg import lapack
 
-    lap = net.laplacian()
-    k = int(np.argmax(lap.diagonal()))
-    inv, _ = lapack.dpotri(_cholesky(lap, [k]), overwrite_c=1)
-    # potri fills the upper triangle; the lower one stays zero
-    g = inv + inv.T
-    np.fill_diagonal(g, inv.diagonal())
-    g[k, k] = 0.0
+    low, _ = lapack.dlauum(_inverse_factor(net), lower=1, overwrite_c=1)
+    # lauum fills the lower triangle; the upper one stays zero
+    g = low + low.T
+    np.fill_diagonal(g, low.diagonal())
     # centring rows, then columns, twice keeps the row sums near rounding level
     for _ in range(2):
         g -= g.mean(axis=1, keepdims=True)
@@ -229,7 +271,7 @@ class Network:
     resistance and its conductance 1/r must be finite and positive.
     """
 
-    __slots__ = ("_vertices", "_edges", "_index", "_exact", "_pinv")
+    __slots__ = ("_vertices", "_edges", "_index", "_exact", "_pinv", "_m")
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple]):
         self._vertices = tuple(vertices)
@@ -256,6 +298,7 @@ class Network:
             indexed.append((self._index[u], self._index[v], r))
         self._edges = tuple(indexed)
         self._pinv = None
+        self._m = None
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -321,8 +364,9 @@ class Network:
     def pseudoinverse(self):
         """pinv_laplacian of this network, cached and read-only.
 
-        Exact L+ is a tuple of row tuples, immutable already; a float64 L+
-        is made read-only.
+        Exact L+ is a tuple of row tuples, immutable already, and serves the
+        exact resistances and Kirchhoff index; a float64 L+ is made
+        read-only, and no float answer of the oracle reads it.
         """
         if self._pinv is None:
             pinv = pinv_laplacian(self)
@@ -330,6 +374,14 @@ class Network:
                 pinv.flags.writeable = False
             self._pinv = pinv
         return self._pinv
+
+    def _embedding(self):
+        """_inverse_factor of this float network, cached and read-only."""
+        if self._m is None:
+            m = _inverse_factor(self)
+            m.flags.writeable = False
+            self._m = m
+        return self._m
 
     def to_float(self) -> "Network":
         """Float-mode copy (same topology, binary64 resistances)."""
@@ -340,25 +392,50 @@ class Network:
 
 
 def resistance_oracle(net: Network, u: str, v: str):
-    """Effective resistance between two vertices, from the pseudoinverse.
+    """Effective resistance between two vertices.
 
-    r(u, v) = L+[u,u] - 2 L+[u,v] + L+[v,v]; an exact Fraction, computed
-    without NumPy, on exact networks, and a float otherwise.  Both forms of
-    L+ are read row by row, and each row once: on a float64 array every row
-    read makes a view.  Raises DisconnectedNetworkError when the network is
-    not connected, since the pseudoinverse needs a connected network.
+    On an exact network, r(u, v) = L+[u,u] - 2 L+[u,v] + L+[v,v], an exact
+    Fraction computed without NumPy from two rows of the cached
+    pseudoinverse.  On a float network, r(u, v) = |M[:,u] - M[:,v]|^2 over
+    two columns of the cached M of _inverse_factor, a sum of squares that
+    cannot cancel; both columns are zero above the lower of the two indices,
+    so only the rows from there on are read.  Raises
+    DisconnectedNetworkError when the network is not connected, for u == v
+    too.
     """
     i = net.vertex_index(u)
     j = net.vertex_index(v)
-    lp = net.pseudoinverse()
-    row_i, row_j = lp[i], lp[j]
-    return row_i[i] - 2 * row_i[j] + row_j[j]
+    if net.is_exact:
+        lp = net.pseudoinverse()
+        row_i, row_j = lp[i], lp[j]
+        return row_i[i] - 2 * row_i[j] + row_j[j]
+    m = net._embedding()
+    lo = min(i, j)
+    d = m[lo:, i] - m[lo:, j]
+    return d @ d
 
 
 def kirchhoff_oracle(net: Network):
-    """Sum of effective resistances over all vertex pairs: N * trace(L+)."""
-    total = sum(map(operator.getitem, net.pseudoinverse(), range(net.order)))
-    return net.order * total
+    """Sum of effective resistances over all vertex pairs: N * trace(L+).
+
+    Exact networks sum the diagonal of the cached pseudoinverse.  Float ones
+    take N |M P|_F^2 with P = I - J/N over the cached M of _inverse_factor,
+    since trace(P M^T M P) is that squared norm: each row of M is centred by
+    its mean over the vertices, _COLUMNS vertex columns at a time, so no
+    second order-N array is built.
+    """
+    n = net.order
+    if net.is_exact:
+        return n * sum(map(operator.getitem, net.pseudoinverse(), range(n)))
+    m = net._embedding()
+    means = m.mean(axis=1, keepdims=True)
+    total = 0.0
+    for start in range(0, n, _COLUMNS):
+        # a run of M's Fortran-ordered columns is contiguous, so ravel makes
+        # no copy
+        centred = (m[:, start:start + _COLUMNS] - means).ravel(order="K")
+        total += centred @ centred
+    return n * total
 
 
 def matrix_tree_count(net: Network):

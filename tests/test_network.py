@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from prismres import network
 from prismres.exact import Qsqrt3
 from prismres.ladder import ladder_delta_edges
 from prismres.network import (
@@ -207,10 +208,13 @@ def test_pinv_disconnected():
         two.pseudoinverse()
     with pytest.raises(DisconnectedNetworkError):
         two.to_float().pseudoinverse()
-    with pytest.raises(DisconnectedNetworkError):
-        resistance_oracle(two, "a", "c")
-    with pytest.raises(DisconnectedNetworkError):
-        resistance_oracle(two, "a", "a")
+    for net in (two, two.to_float()):
+        with pytest.raises(DisconnectedNetworkError):
+            resistance_oracle(net, "a", "c")
+        with pytest.raises(DisconnectedNetworkError):
+            resistance_oracle(net, "a", "a")
+        with pytest.raises(DisconnectedNetworkError):
+            kirchhoff_oracle(net)
 
 
 def test_connectivity_is_read_off_the_edges(monkeypatch):
@@ -271,6 +275,65 @@ def test_float_eliminations_factor_their_own_laplacian_in_place():
         finally:
             tracemalloc.stop()
         assert peak <= bound * square, (peak / square, bound)
+
+
+def test_float_queries_hold_one_order_n_array():
+    warm = build_prism(3).to_float()
+    resistance_oracle(warm, "p1", "q2")
+    kirchhoff_oracle(warm)
+    square = 8 * 800 ** 2  # one float64 array of order 800
+    for query in (lambda net: resistance_oracle(net, "p1", "q200"), kirchhoff_oracle):
+        net = build_prism(400).to_float()
+        tracemalloc.start()
+        try:
+            query(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * square, peak / square
+
+
+def test_float_resistance_and_kirchhoff_build_no_pseudoinverse(monkeypatch):
+    exact = build_prism(5)
+    r, kf = float(resistance_oracle(exact, "p1", "q3")), float(kirchhoff_oracle(exact))
+
+    def no_pinv(net):
+        raise AssertionError("built L+")
+
+    monkeypatch.setattr(network, "pinv_laplacian", no_pinv)
+    net = exact.to_float()
+    assert abs(resistance_oracle(net, "p1", "q3") - r) <= 1e-15 * r
+    assert abs(kirchhoff_oracle(net) - kf) <= 1e-15 * kf
+    assert resistance_oracle(net, "q2", "q2") == 0.0
+    m = net._embedding()
+    assert m is net._embedding()
+    with pytest.raises(ValueError):
+        m[0, 0] = 5
+    with pytest.raises(AssertionError, match="built L"):
+        resistance_oracle(build_prism(5), "p1", "q3")
+
+
+@pytest.mark.parametrize("fault", ["info", "nan"])
+def test_a_failed_factor_inversion_is_singular(monkeypatch, fault):
+    from scipy.linalg import lapack
+
+    dtrtri = lapack.dtrtri
+
+    def failing(c, **kwargs):
+        inv, info = dtrtri(c, **kwargs)
+        if fault == "nan":
+            inv[-1, 0] = math.nan
+            return inv, info
+        return inv, 2
+
+    monkeypatch.setattr(lapack, "dtrtri", failing)
+    net = build_prism(3).to_float()
+    with pytest.raises(SingularMatrixError):
+        resistance_oracle(net, "p1", "q2")
+    with pytest.raises(SingularMatrixError):
+        kirchhoff_oracle(net)
+    with pytest.raises(SingularMatrixError):
+        net.pseudoinverse()
 
 
 def test_pinv_float_overflow_is_singular_not_disconnected():
@@ -671,6 +734,73 @@ def test_float_error_within_conditioning_bound():
         keep = rng.sample(labels, min(size, 3))
         assert ([e[:2] for e in kron_reduce(fnet, keep).edges]
                 == [e[:2] for e in kron_reduce(net, keep).edges])
+
+
+def _power_of_two_networks(seed: int, count: int):
+    """Exact multigraphs of 2 to 60 vertices, resistances 2^-16 to 2^16
+    ohms: a random spanning tree plus as many random edges, loops and
+    parallels included.  Their float copies are exactly the same networks."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        size = rng.randrange(2, 61)
+        labels = [f"v{k}" for k in range(size)]
+
+        def pick():
+            return Fraction(2) ** rng.randint(-16, 16)
+
+        edges = [(labels[k], labels[rng.randrange(k)], pick()) for k in range(1, size)]
+        edges += [(rng.choice(labels), rng.choice(labels), pick()) for _ in range(size)]
+        yield Network(labels, edges)
+
+
+def test_float_oracle_within_its_sum_of_squares_bound():
+    # A float resistance is |d|^2, d = M[:,u] - M[:,v], where M = C^-1 and
+    # C C^T = A, the Laplacian grounded at k as a row and column of the
+    # identity; D = diag(A) and S = D^-1/2 A D^-1/2 as in the test above.
+    # First order in eps, with g_u = |M[:,u]| = sqrt(r(u, k)):
+    # * the factor is exact for A + dA, which moves r by at most
+    #   N eps kappa(S) r, as in the test above;
+    # * the triangular inverse is within c_N eps/2 |C^-1| |C| |C^-1|, with
+    #   c_N <= N (Higham, Accuracy and Stability of Numerical Algorithms,
+    #   ch. 14).  C = D^1/2 C_S with C_S C_S^T = S, so column u of that
+    #   matrix is |C_S^-1| |C_S| |C_S^-1 e_u| d_u^-1/2, of norm at most
+    #   N sqrt(kappa(S)) g_u, since |||B|||_2 <= sqrt(N) ||B||_2.  So |d|
+    #   moves by N^2 eps sqrt(kappa(S)) (g_u + g_v) and |d|^2 by 2 |d| times
+    #   that;
+    # * rounding |d|^2 itself: the difference and the square round each term
+    #   by eps relative, and N nonnegative terms sum within N eps/2, so
+    #   (N + 2) eps r.  No term cancels, so nothing scales with max |L+|.
+    # The Kirchhoff index N |M P|_F^2 is the sum of |d|^2 over the pairs, so
+    # the first two terms add up over the pairs.  An error in a row's mean
+    # moves that row's sum of squares only to second order (the exact mean
+    # minimises it), and the N^2 nonnegative squares sum within N^2 eps
+    # relative.
+    eps = np.finfo(float).eps
+    for net in _power_of_two_networks(5, 8):
+        size = net.order
+        fnet = net.to_float()
+        lap = fnet.laplacian()
+        k = int(np.argmax(lap.diagonal()))  # the float path's ground
+        l0 = np.delete(np.delete(lap, k, 0), k, 1)
+        d = 1.0 / np.sqrt(l0.diagonal())
+        kappa = np.linalg.cond(l0 * np.outer(d, d))
+        lx = net.pseudoinverse()
+        exact = [[float(lx[i][i] - 2 * lx[i][j] + lx[j][j]) for j in range(size)]
+                 for i in range(size)]
+        g = [math.sqrt(row[k]) for row in exact]
+        labels = net.vertices
+        factor_bound = 0.0
+        for i in range(size):
+            for j in range(i, size):
+                r = exact[i][j]
+                pair = size * eps * (kappa * r
+                                     + 2 * math.sqrt(r) * size * math.sqrt(kappa) * (g[i] + g[j]))
+                got = resistance_oracle(fnet, labels[i], labels[j])
+                assert abs(got - r) <= pair + (size + 2) * eps * r, (size, i, j, got, r)
+                factor_bound += pair
+        want = float(kirchhoff_oracle(net))
+        got = kirchhoff_oracle(fnet)
+        assert abs(got - want) <= factor_bound + size ** 2 * eps * want, (size, got, want)
 
 
 # -- the eight-terminal stencil and four-corner assembly ------------------
