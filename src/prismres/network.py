@@ -9,7 +9,12 @@ is positive definite, and one elimination without pivoting answers every
 question.  Exact networks build D*L, scaled by the lcm D of the conductance
 denominators, as rows of Python ints straight from the edge list, leaving
 out the ground's row and column, and run fraction-free (Bareiss) elimination
-on its upper triangle alone, since the matrix stays symmetric.  Float
+on its upper triangle alone, since the matrix stays symmetric.  They
+eliminate in greedy minimum-degree order, with the kept vertices of a
+reduction last, and defer the Bareiss scaling of every row a pivot does not
+reach until a later pivot does: on a sparse network most rows wait, and
+each deferred scaling is one exact division, as every entry it yields is a
+minor of the matrix.  The answers do not depend on the order.  Float
 networks build L as float64, ground in place, giving the ground the row and
 column of the identity, and factor the whole matrix with Cholesky.  Each
 elimination builds the matrix it consumes.  An exact network caches L+, a
@@ -46,7 +51,7 @@ class DisconnectedNetworkError(ValueError):
 class SingularMatrixError(ArithmeticError):
     """A float Cholesky factorization, or the inversion of its factor, failed
     on a connected network too ill-conditioned (or too ill-scaled) for
-    binary64."""
+    binary64, or a float resistance or Kirchhoff index is past its range."""
 
 
 # columns of M that kirchhoff_oracle centres at a time: at order 6000 they
@@ -78,14 +83,58 @@ def _components(net: Network) -> list[int]:
     return [find(x) for x in range(net.order)]
 
 
-def _integer_laplacian(net: Network, order: Sequence[int]) -> tuple[list[list[int]], int]:
-    """(D*L, D) for an exact network, as int rows over the vertices in `order`.
+def _min_degree(net: Network, keep: Sequence[int], ground: int | None) -> list[int]:
+    """Greedy minimum-degree order of the vertices neither kept nor grounded.
 
-    D is the lcm of the numerators of the non-loop resistances, which are the
-    denominators of the conductances, so a conductance q/p adds the integer
-    q * (D/p) to D*L.  Rows and columns follow `order`; a vertex missing from
-    it is dropped, which is how the eliminations ground it.
+    Runs on the graph of the edge list without the ground, the graph of the
+    matrix the eliminations build: each step takes the vertex of fewest
+    neighbours left, the lowest index among equals, and joins its neighbours
+    into a clique, the fill its pivot leaves (George and Liu, SIAM Review
+    1989).  Kept vertices count as neighbours and are never taken.
     """
+    from heapq import heapify, heappop, heappush
+
+    adj: dict[int, set[int]] = {v: set() for v in range(net.order) if v != ground}
+    for i, j, _ in net._edges:
+        if i != j and i != ground and j != ground:
+            adj[i].add(j)
+            adj[j].add(i)
+    left = set(adj).difference(keep)
+    # (degree, vertex) of every vertex left, and stale entries after a
+    # vertex's degree changed or it was taken: those are skipped
+    heap = [(len(adj[v]), v) for v in left]
+    heapify(heap)
+    order = []
+    while left:
+        degree, v = heappop(heap)
+        if v not in left or degree != len(adj[v]):
+            continue
+        left.remove(v)
+        order.append(v)
+        near = adj.pop(v)
+        for x in near:
+            fill = adj[x]
+            fill |= near
+            fill.discard(x)
+            fill.discard(v)
+            if x in left:
+                heappush(heap, (len(fill), x))
+    return order
+
+
+def _integer_laplacian(net: Network, keep: Sequence[int] = (),
+                       ground: int | None = None) -> tuple[list[list[int]], int, list[int]]:
+    """(D*L, D, order) for an exact network, as int rows over the vertices in `order`.
+
+    `order` lists the vertices to eliminate, neither kept nor the ground, in
+    the greedy minimum-degree order of _min_degree, then `keep` as given;
+    the ground is left out of the rows and columns, which is how the
+    eliminations ground it.  With every vertex kept, the rows follow the
+    vertex order.  D is the lcm of the numerators of the non-loop
+    resistances, which are the denominators of the conductances, so a
+    conductance q/p adds the integer q * (D/p) to D*L.
+    """
+    order = _min_degree(net, keep, ground) + list(keep)
     d = math.lcm(*(r.numerator for i, j, r in net._edges if i != j))
     at = {v: k for k, v in enumerate(order)}
     rows = [[0] * len(at) for _ in at]
@@ -101,7 +150,7 @@ def _integer_laplacian(net: Network, order: Sequence[int]) -> tuple[list[list[in
             if a is not None:
                 rows[a][b] -= g
                 rows[b][a] -= g
-    return rows, d
+    return rows, d, order
 
 
 def _schur(a: list[list[int]], k: int) -> tuple[list[list[int]], int]:
@@ -118,19 +167,50 @@ def _schur(a: list[list[int]], k: int) -> tuple[list[list[int]], int]:
     and updated: row r changes from column r on, and its multiplier is read
     from the pivot row.  The lower triangle of `a` is left stale, and T is
     mirrored from its upper triangle at the end.
+
+    Step s turns row r into (p_s row - f top) / p_{s-1}, with p_s the pivot
+    of step s, p_{-1} = 1, and f the row's entry in the pivot column.  A row
+    with f = 0 is only scaled, by p_s / p_{s-1}, and that scaling is
+    deferred.  Each row holds the divisor it was last brought up to date
+    with: p_{s-1} for a row as it stands after step s - 1.  Over untouched
+    steps the factors telescope, so when step t needs the row, as its pivot
+    row or with f != 0, or T needs it at the end, one pass multiplies it by
+    p_{t-1} and divides it by p_{s-1}.  That division is exact as well: each
+    entry it produces is the entry after step t - 1, which is a minor of the
+    matrix and so an integer.  A row also knows where its trailing zeros
+    start, and an update stops at the later of its own and the pivot row's,
+    since past both it would only scale zeros.  So a step costs work only
+    in the rows its pivot row has nonzeros for, which the minimum-degree
+    order of _integer_laplacian keeps few, and a row of zeros costs nothing.
     """
+    from itertools import compress
+
     prev = 1
+    held = [1] * len(a)  # the divisor row r was last brought up to date with
+    end = []  # row r is zero from column end[r] on
+    for row in a:
+        e = len(row) if any(row) else 0
+        while e and not row[e - 1]:
+            e -= 1
+        end.append(e)
     for s in range(k):
-        top = a[s]
+        top, stop = a[s], end[s]
+        if held[s] != prev:
+            top[s:stop] = [x * prev // held[s] for x in top[s:stop]]
         pivot = top[s]
-        for r in range(s + 1, len(a)):
-            row = a[r]
+        for r in compress(range(s + 1, stop), top[s + 1:stop]):
             f = top[r]
-            if f:
-                row[r:] = [(pivot * x - f * y) // prev for x, y in zip(row[r:], top[r:])]
+            row, old, e = a[r], held[r], max(end[r], stop)
+            if old == prev:
+                row[r:e] = [(pivot * x - f * y) // prev for x, y in zip(row[r:e], top[r:e])]
             else:
-                row[r:] = [pivot * x // prev for x in row[r:]]
+                row[r:e] = [(pivot * (x * prev // old) - f * y) // prev
+                            for x, y in zip(row[r:e], top[r:e])]
+            held[r], end[r] = pivot, e
         prev = pivot
+    for r in range(k, len(a)):
+        if held[r] != prev:
+            a[r][r:end[r]] = [x * prev // held[r] for x in a[r][r:end[r]]]
     t = [row[k:] for row in a[k:]]
     for i, row in enumerate(t):
         row[:i] = [t[j][i] for j in range(i)]
@@ -145,6 +225,18 @@ def _finite(a, info: int):
         raise SingularMatrixError("binary64 Cholesky factorization failed: the conductances are "
                                   "too far apart or too large for floats; use exact resistances")
     return a
+
+
+def _in_range(x: float) -> float:
+    """A float answer `x`, when it is finite.
+
+    The sums of squares behind the float answers are taken with np.vdot,
+    which, unlike `@`, overflows to inf without a warning, so an answer past
+    the binary64 range reaches this as inf.
+    """
+    if not math.isfinite(x):
+        raise SingularMatrixError("the answer is past the binary64 range; use exact resistances")
+    return x
 
 
 def _require_connected(net: Network) -> None:
@@ -207,12 +299,14 @@ def pinv_laplacian(net: Network):
 
     Grounds one vertex and inverts the remaining block L0 of the Laplacian.
     Exact networks ground vertex 0 by building only the integer rows of
-    D*L0 and read -(D*L0)^-1 off the Schur complement of the bordered
-    matrix [[D*L0, I], [I, 0]]; L+ is symmetric, so each of its entries is
-    built once, on or above the diagonal, and mirrored.  Float networks
-    take M from _inverse_factor, which grounds the vertex with the largest
-    conductance sum, and form G = M^T M in place (LAPACK's lauum: potri is
-    the triangular inverse followed by lauum, so this is the same work).
+    D*L0, in the elimination order of _integer_laplacian, and read
+    -(D*L0)^-1 off the Schur complement of the bordered matrix
+    [[D*L0, I], [I, 0]], then put its rows and columns back in vertex order;
+    L+ is symmetric, so each of its entries is built once, on or above the
+    diagonal, and mirrored.  Float networks take M from _inverse_factor,
+    which grounds the vertex with the largest conductance sum, and form
+    G = M^T M in place (LAPACK's lauum: potri is the triangular inverse
+    followed by lauum, so this is the same work).
     Then L+ = P G P, with G the inverse of L0 padded with zeros at the
     ground and P = I - J/N: on an exact network a tuple of row tuples of
     Fractions, built without NumPy; a float64 array otherwise.  Raises
@@ -224,16 +318,18 @@ def pinv_laplacian(net: Network):
     if net.is_exact:
         _require_connected(net)
         m = n - 1
-        a, d = _integer_laplacian(net, range(1, n))
+        a, d, order = _integer_laplacian(net, ground=0)
         # [[D*L0, I], [I, 0]]: _schur reads only the upper triangle, so the
         # lower identity block is left as zeros
         bordered = [row + [0] * i + [1] + [0] * (m - 1 - i) for i, row in enumerate(a)]
         bordered += [[0] * (2 * m) for _ in range(m)]
         t, det = _schur(bordered, m)
-        # L0^-1 = -d T / det.  Pad T at the ground and centre it in integers:
-        # n^2 (P T P)_ij = n^2 T_ij - n (s_i + s_j) + S, with s the row sums
-        # of the symmetric T and S their total.
-        t = [[0] * n] + [[0] + row for row in t]
+        # L0^-1 = -d T / det, with T's rows and columns in elimination order.
+        # Put them back in vertex order, pad T at the ground and centre it in
+        # integers: n^2 (P T P)_ij = n^2 T_ij - n (s_i + s_j) + S, with s the
+        # row sums of the symmetric T and S their total.
+        at = sorted(range(m), key=order.__getitem__)  # where vertices 1 .. n-1 are
+        t = [[0] * n] + [[0] + [t[i][j] for j in at] for i in at]
         sums = [sum(row) for row in t]
         total = sum(sums)
         scale = det * n * n
@@ -345,7 +441,7 @@ class Network:
 
         n = self.order
         if self._exact:
-            rows, d = _integer_laplacian(self, range(n))
+            rows, d, _ = _integer_laplacian(self, range(n))
             zero = Fraction(0)
             return np.array([[Fraction(x, d) if x else zero for x in row] for row in rows],
                             dtype=object)
@@ -409,10 +505,12 @@ def resistance_oracle(net: Network, u: str, v: str):
         lp = net.pseudoinverse()
         row_i, row_j = lp[i], lp[j]
         return row_i[i] - 2 * row_i[j] + row_j[j]
+    import numpy as np
+
     m = net._embedding()
     lo = min(i, j)
     d = m[lo:, i] - m[lo:, j]
-    return d @ d
+    return _in_range(np.vdot(d, d))
 
 
 def kirchhoff_oracle(net: Network):
@@ -427,6 +525,8 @@ def kirchhoff_oracle(net: Network):
     n = net.order
     if net.is_exact:
         return n * sum(map(operator.getitem, net.pseudoinverse(), range(n)))
+    import numpy as np
+
     m = net._embedding()
     means = m.mean(axis=1, keepdims=True)
     total = 0.0
@@ -434,8 +534,8 @@ def kirchhoff_oracle(net: Network):
         # a run of M's Fortran-ordered columns is contiguous, so ravel makes
         # no copy
         centred = (m[:, start:start + _COLUMNS] - means).ravel(order="K")
-        total += centred @ centred
-    return n * total
+        total += float(np.vdot(centred, centred))
+    return _in_range(n * total)
 
 
 def matrix_tree_count(net: Network):
@@ -451,7 +551,7 @@ def matrix_tree_count(net: Network):
         raise TypeError("matrix-tree counting requires an exact network")
     if len(set(_components(net))) > 1:
         return 0
-    a, d = _integer_laplacian(net, range(1, net.order))
+    a, d, _ = _integer_laplacian(net, ground=0)
     m = net.order - 1
     _, det = _schur(a, m)
     count = Fraction(det, d ** m)
@@ -463,16 +563,16 @@ def kron_reduce(net: Network, keep: Sequence[str]) -> Network:
 
     Eliminates the interior vertices first and reads the surviving edges off
     the Schur complement onto the kept vertices, in the order given.  Exact
-    networks run `_schur` on the integer rows of D*L, built with the kept
-    vertices last.  Float ones take the kept rows and columns of L, then
-    ground the kept vertices in place, so one Cholesky solve against those
-    columns (their kept rows zeroed) gives the interior's share
-    L_II^-1 L_IK, with exact zeros at the kept rows.  An entry is exactly
-    zero when no path joins its two vertices through the interior, and that
-    pair gets no edge.  Any other entry is nonzero, and in float mode it is
-    a sum of terms of one sign, so it cannot round to zero.  Raises
-    DisconnectedNetworkError when some interior vertex has no path to any
-    kept vertex.
+    networks run `_schur` on the integer rows of D*L, built with the
+    interior in minimum-degree order and the kept vertices last.  Float ones
+    take the kept rows and columns of L, then ground the kept vertices in
+    place, so one Cholesky solve against those columns (their kept rows
+    zeroed) gives the interior's share L_II^-1 L_IK, with exact zeros at the
+    kept rows.  An entry is exactly zero when no path joins its two vertices
+    through the interior, and that pair gets no edge.  Any other entry is
+    nonzero, and in float mode it is a sum of terms of one sign, so it
+    cannot round to zero.  Raises DisconnectedNetworkError when some
+    interior vertex has no path to any kept vertex.
     """
     keep = list(keep)
     if not keep:
@@ -485,9 +585,7 @@ def kron_reduce(net: Network, keep: Sequence[str]) -> Network:
     if not set(roots) <= {roots[k] for k in kidx}:
         raise DisconnectedNetworkError("interior vertices have no path to any kept vertex")
     if net.is_exact:
-        kept = set(kidx)
-        perm = [i for i in range(net.order) if i not in kept] + kidx
-        a, d = _integer_laplacian(net, perm)
+        a, d, _ = _integer_laplacian(net, kidx)
         t, pivot = _schur(a, net.order - len(kidx))
         conductance = [[Fraction(-x, pivot * d) for x in row] for row in t]
     else:

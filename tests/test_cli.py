@@ -366,6 +366,24 @@ def test_net_unfactorable_float_network_exits_one(capsys, tmp_path):
     assert record.startswith("# command=net elapsed_ms=")
 
 
+@pytest.mark.parametrize("argv", [("resistance", "a", "c"), ("kirchhoff",)],
+                         ids=["resistance", "kirchhoff"])
+def test_net_float_answer_past_binary64_exits_one(capsys, tmp_path, argv):
+    # each resistor fits, r(a, c) = 2e308 does not
+    doc = {"vertices": ["a", "b", "c"],
+           "edges": [{"u": "a", "v": "b", "r": 1e308}, {"u": "b", "v": "c", "r": 1e308}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow to inf is not a warning
+        code, out, err = run_cli(capsys, "net", argv[0], str(path), *argv[1:])
+    assert (code, out) == (1, "")
+    error, record = err.splitlines()
+    assert error == "error: the answer is past the binary64 range; use exact resistances"
+    assert record.startswith("# command=net elapsed_ms=")
+    assert run_cli(capsys, "net", "resistance", str(path), "a", "b")[:2] == (0, "1e+308\n")
+
+
 def test_net_malformed_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -345,6 +345,18 @@ def test_pinv_float_overflow_is_singular_not_disconnected():
             net.pseudoinverse()
 
 
+def test_float_answer_past_the_binary64_range_is_singular():
+    # each resistor fits, r(v0, v2) = 2e308 and Kf = 3 (1e308 + 1e308 + 2e308) do not
+    net = _path(1e308, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow to inf is not a warning
+        with pytest.raises(SingularMatrixError, match="binary64 range"):
+            resistance_oracle(net, "v0", "v2")
+        with pytest.raises(SingularMatrixError, match="binary64 range"):
+            kirchhoff_oracle(net)
+        assert resistance_oracle(net, "v0", "v1") == 1e308
+
+
 # -- resistance and Kirchhoff oracles ------------------------------------
 
 
@@ -519,6 +531,96 @@ def test_exact_eliminations_build_no_laplacian(monkeypatch, prisms):
 ], ids=["one-vertex", "one-vertex-loop", "no-edges", "loops-and-parallels", "random"])
 def test_exact_laplacian_equals_the_fraction_accumulation(net):
     _assert_exact_equal(net.laplacian(), _fraction_laplacian(net))
+
+
+# -- the exact elimination kernel ----------------------------------------
+
+
+def _sparse_definite(rng: random.Random, size: int, blocks: int) -> list[list[int]]:
+    """Symmetric positive-definite int matrix: `blocks` contiguous diagonal
+    blocks with a few off-diagonal entries in [-9, 9] each, every diagonal
+    entry above its row's absolute sum."""
+    cuts = [0, *sorted(rng.sample(range(1, size), min(blocks, size) - 1)), size]
+    a = [[0] * size for _ in range(size)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        for _ in range(hi - lo):
+            i, j = rng.randrange(lo, hi), rng.randrange(lo, hi)
+            if i != j:
+                a[i][j] = a[j][i] = rng.choice([x for x in range(-9, 10) if x])
+    for i, row in enumerate(a):
+        row[i] = sum(map(abs, row)) + rng.randint(1, 9)
+    return a
+
+
+def _bordered(rng: random.Random, a: list[list[int]], extra: int) -> list[list[int]]:
+    """[[a, B], [B^T, C]] with B sparse and C symmetric, half of its rows zero."""
+    size = len(a)
+    full = [row + [0] * extra for row in a] + [[0] * (size + extra) for _ in range(extra)]
+    for _ in range(size):
+        i, j = rng.randrange(size), size + rng.randrange(extra)
+        full[i][j] = full[j][i] = rng.randint(-9, 9)
+    for i in range(size, size + extra, 2):
+        for j in range(i, size + extra, 2):
+            full[i][j] = full[j][i] = rng.randint(-9, 9)
+    return full
+
+
+def _fraction_schur(a: list[list[int]], k: int) -> tuple[list[list[Fraction]], Fraction]:
+    """(Schur complement of the leading k x k block, its determinant), by
+    Gaussian elimination in Fractions."""
+    m = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for s in range(k):
+        pivot = m[s][s]
+        det *= pivot
+        for r in range(s + 1, len(m)):
+            f = m[r][s] / pivot
+            if f:
+                m[r] = [x - f * y for x, y in zip(m[r], m[s])]
+    return [row[k:] for row in m[k:]], det
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_deferred_schur_equals_the_fraction_schur_complement(seed):
+    rng = random.Random(2200 + seed)
+    size = rng.randint(1, 24)
+    # up to three blocks: the rows of a later block wait for every pivot of
+    # the earlier ones, and the border rows start as zeros
+    a = _sparse_definite(rng, size, 1 + seed % 3)
+    for matrix, k in [(a, size), (a, rng.randrange(size + 1)),
+                      (_bordered(rng, a, rng.randint(1, 6)), size)]:
+        want, det = _fraction_schur(matrix, k)
+        t, pivot = network._schur([row[:] for row in matrix], k)
+        assert pivot == det
+        assert all(type(x) is int for row in t for x in row)
+        assert [[Fraction(x, pivot) for x in row] for row in t] == want
+
+
+def test_minimum_degree_order_is_a_deterministic_permutation(prisms, ladders):
+    rng = random.Random(2300)
+    nets = [prisms(6), ladders(7), _random_multigraph(rng, 20, 8), _random_connected(rng, 25)]
+    for net in nets:
+        size = net.order
+        for keep, ground in [((), 0), ((), None), (tuple(rng.sample(range(size), 4)), None)]:
+            order = network._min_degree(net, keep, ground)
+            assert sorted(order) == sorted(set(range(size)) - set(keep) - {ground})
+            # independent of the order of the edges and of the sets' iteration
+            shuffled = Network(net.vertices, rng.sample(list(net.edges), net.edge_count))
+            assert network._min_degree(shuffled, keep, ground) == order
+            rows, d, full = network._integer_laplacian(net, keep, ground)
+            assert full == order + list(keep)
+            lap = _fraction_laplacian(net)
+            assert rows == [[d * lap[i][j] for j in full] for i in full]
+    path = Network([f"v{k}" for k in range(5)], [(f"v{k}", f"v{k + 1}", 1) for k in range(4)])
+    star = Network([f"v{k}" for k in range(5)], [("v0", f"v{k}", 1) for k in range(4, 0, -1)])
+    # fewest neighbours first, the lower index among equals; kept vertices
+    # count as neighbours, the ground does not
+    assert network._min_degree(path, (), None) == [0, 1, 2, 3, 4]
+    assert network._min_degree(path, (0,), None) == [4, 3, 2, 1]
+    assert network._min_degree(path, (), 2) == [0, 1, 3, 4]
+    # with one leaf left, the centre ties with it and has the lower index
+    assert network._min_degree(star, (), None) == [1, 2, 3, 0, 4]
+    assert network._min_degree(star, (3,), 1) == [2, 4, 0]
 
 
 # -- spanning trees -------------------------------------------------------
