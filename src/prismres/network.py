@@ -14,7 +14,9 @@ eliminate in greedy minimum-degree order, with the kept vertices of a
 reduction last, and defer the Bareiss scaling of every row a pivot does not
 reach until a later pivot does: on a sparse network most rows wait, and
 each deferred scaling is one exact division, as every entry it yields is a
-minor of the matrix.  The answers do not depend on the order.  Float
+minor of the matrix.  The answers do not depend on the order.  The inverse
+of the grounded block is read off the same factor by back-substitution in
+integers, as the adjugate of D*L0, with no second elimination.  Float
 networks build L as float64, ground in place, giving the ground the row and
 column of the identity, and factor the whole matrix with Cholesky.  Each
 elimination builds the matrix it consumes.  An exact network caches L+, a
@@ -28,9 +30,10 @@ array in both modes, and no exact elimination calls it.
 
 * The Moore-Penrose pseudoinverse is L+ = P G P, where G is the inverse of
   the grounded block, padded with zeros at the ground, and P = I - J/N.
-  Exact effective resistances and the Kirchhoff index are read off it.
-  Float ones need no L+: r(u, v) = |M[:,u] - M[:,v]|^2 and the Kirchhoff
-  index N trace(L+) is N |M P|_F^2, both sums of squares.
+  Exact effective resistances are read off it.  The Kirchhoff index
+  N trace(L+) = N trace(G) - 1^T G 1 needs no L+: exact networks take it
+  off the adjugate in integers, one Fraction, and float ones take
+  N |M P|_F^2, a sum of squares, as they take r(u, v) = |M[:,u] - M[:,v]|^2.
 * Spanning-tree counts are the determinant of the grounded block.
 * Reductions onto a terminal set stop the elimination after the interior
   pivots: what is left is the Schur complement, the Kron-reduced Laplacian.
@@ -39,7 +42,6 @@ array in both modes, and no exact elimination calls it.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
@@ -156,6 +158,8 @@ def _integer_laplacian(net: Network, keep: Sequence[int] = (),
 def _schur(a: list[list[int]], k: int) -> tuple[list[list[int]], int]:
     """Fraction-free (Bareiss) elimination of the first k pivots of a symmetric integer matrix.
 
+    All three exact eliminations share it: the grounded adjugate behind L+
+    and the Kirchhoff index, the spanning-tree count and Kron reduction.
     Eliminates in place, overwriting `a`, so callers pass a matrix built for
     it.  Returns the trailing block T and the last pivot p, which is the
     determinant of the leading k x k block.  By Sylvester's identity T / p is
@@ -294,49 +298,90 @@ def _inverse_factor(net: Network):
     return m
 
 
+def _grounded_adjugate(net: Network) -> tuple[list[list[int]], int, int, list[int]]:
+    """(Y, D, det, order) of a connected exact network, with Y = adj(A), A = D*L0.
+
+    Grounds vertex 0 and builds A from _integer_laplacian, its rows and
+    columns in the elimination `order`, factors it once with _schur and reads
+    its adjugate Y = det A^-1 off the factor by back-substitution in
+    integers, so that L0^-1 = D Y / det.  Raises DisconnectedNetworkError
+    when `net` is not connected.
+
+    Write A = L Delta L^T, with L unit lower triangular.  After _schur, row s
+    of `a` holds U[s][k] = p_{s-1} Delta_s L^T[s][k] for k >= s, where
+    p_s = U[s][s] is the pivot of step s and p_{-1} = 1: a pivot row is
+    brought up to date when it pivots and never touched after, so the upper
+    triangle read here is current.  The lower triangle is stale and is not
+    read.  L^T A^-1 = Delta^-1 L^-1 is lower triangular with diagonal
+    1 / Delta_s, so sum_k U[s][k] Y[k][j] = delta_sj p_{s-1} det for every
+    j >= s, and for s = m - 1 down to 0
+
+        Y[s][j] = (delta_sj p_{s-1} det - sum_{k > s} U[s][k] Y[k][j]) / p_s.
+
+    Each Y entry is a cofactor of A, an integer, so every division is exact.
+    For j > s the sum reads rows of Y below s, done already.  The diagonal
+    j = s reads Y[k][s] = Y[s][k], so it comes last, after the entries to
+    its right are mirrored into column s.  The sums run over the nonzeros of
+    U[s] alone, which the minimum-degree order keeps few.
+    """
+    from itertools import compress
+
+    _require_connected(net)
+    a, d, order = _integer_laplacian(net, ground=0)
+    m = len(a)
+    _, det = _schur(a, m)
+    y = [[0] * m for _ in range(m)]
+    for s in range(m - 1, -1, -1):
+        u = a[s]
+        pivot = u[s]
+        near = list(compress(range(s + 1, m), u[s + 1:]))
+        acc = [0] * (m - 1 - s)
+        for k in near:
+            c = u[k]
+            acc = [x + c * z for x, z in zip(acc, y[k][s + 1:])]
+        right = y[s]
+        right[s + 1:] = [-x // pivot for x in acc]
+        for k, x in enumerate(right[s + 1:], s + 1):
+            y[k][s] = x
+        below = a[s - 1][s - 1] if s else 1
+        right[s] = (below * det - sum([u[k] * right[k] for k in near])) // pivot
+    return y, d, det, order
+
+
 def pinv_laplacian(net: Network):
     """Moore-Penrose pseudoinverse of a connected network's Laplacian.
 
     Grounds one vertex and inverts the remaining block L0 of the Laplacian.
-    Exact networks ground vertex 0 by building only the integer rows of
-    D*L0, in the elimination order of _integer_laplacian, and read
-    -(D*L0)^-1 off the Schur complement of the bordered matrix
-    [[D*L0, I], [I, 0]], then put its rows and columns back in vertex order;
-    L+ is symmetric, so each of its entries is built once, on or above the
-    diagonal, and mirrored.  Float networks take M from _inverse_factor,
-    which grounds the vertex with the largest conductance sum, and form
-    G = M^T M in place (LAPACK's lauum: potri is the triangular inverse
-    followed by lauum, so this is the same work).
+    Exact networks ground vertex 0 and take L0^-1 = D Y / det from
+    _grounded_adjugate, whose rows and columns are in elimination order,
+    then put them back in vertex order; L+ is symmetric, so each of its
+    entries is built once, on or above the diagonal, and mirrored.  Float
+    networks take M from _inverse_factor, which grounds the vertex with the
+    largest conductance sum, and form G = M^T M in place (LAPACK's lauum:
+    potri is the triangular inverse followed by lauum, so this is the same
+    work).
     Then L+ = P G P, with G the inverse of L0 padded with zeros at the
     ground and P = I - J/N: on an exact network a tuple of row tuples of
     Fractions, built without NumPy; a float64 array otherwise.  Raises
-    DisconnectedNetworkError when `net` is not connected.  Float resistances
-    and the Kirchhoff index do not call this; _inverse_factor says how
-    accurate the float answers are.
+    DisconnectedNetworkError when `net` is not connected.  The float
+    resistances and both Kirchhoff indices do not call this; _inverse_factor
+    says how accurate the float answers are.
     """
     n = net.order
     if net.is_exact:
-        _require_connected(net)
-        m = n - 1
-        a, d, order = _integer_laplacian(net, ground=0)
-        # [[D*L0, I], [I, 0]]: _schur reads only the upper triangle, so the
-        # lower identity block is left as zeros
-        bordered = [row + [0] * i + [1] + [0] * (m - 1 - i) for i, row in enumerate(a)]
-        bordered += [[0] * (2 * m) for _ in range(m)]
-        t, det = _schur(bordered, m)
-        # L0^-1 = -d T / det, with T's rows and columns in elimination order.
-        # Put them back in vertex order, pad T at the ground and centre it in
-        # integers: n^2 (P T P)_ij = n^2 T_ij - n (s_i + s_j) + S, with s the
-        # row sums of the symmetric T and S their total.
-        at = sorted(range(m), key=order.__getitem__)  # where vertices 1 .. n-1 are
-        t = [[0] * n] + [[0] + [t[i][j] for j in at] for i in at]
-        sums = [sum(row) for row in t]
+        y, d, det, order = _grounded_adjugate(net)
+        # Put Y's rows and columns back in vertex order, pad it at the ground
+        # and centre it in integers: n^2 (P Y P)_ij = n^2 Y_ij - n (s_i + s_j)
+        # + S, with s the row sums of the symmetric Y and S their total.
+        at = sorted(range(n - 1), key=order.__getitem__)  # where vertices 1 .. n-1 are
+        y = [[0] * n] + [[0] + [y[i][j] for j in at] for i in at]
+        sums = [sum(row) for row in y]
         total = sum(sums)
         scale = det * n * n
         lp = []
-        for i, (row, si) in enumerate(zip(t, sums)):
+        for i, (row, si) in enumerate(zip(y, sums)):
             lp.append(tuple([lp[j][i] for j in range(i)]
-                            + [Fraction(-d * (n * n * x - n * (si + sj) + total), scale)
+                            + [Fraction(d * (n * n * x - n * (si + sj) + total), scale)
                                for x, sj in zip(row[i:], sums[i:])]))
         return tuple(lp)
     import numpy as np
@@ -461,8 +506,8 @@ class Network:
         """pinv_laplacian of this network, cached and read-only.
 
         Exact L+ is a tuple of row tuples, immutable already, and serves the
-        exact resistances and Kirchhoff index; a float64 L+ is made
-        read-only, and no float answer of the oracle reads it.
+        exact resistances; a float64 L+ is made read-only, and no float
+        answer of the oracle reads it, nor does either Kirchhoff index.
         """
         if self._pinv is None:
             pinv = pinv_laplacian(self)
@@ -516,15 +561,22 @@ def resistance_oracle(net: Network, u: str, v: str):
 def kirchhoff_oracle(net: Network):
     """Sum of effective resistances over all vertex pairs: N * trace(L+).
 
-    Exact networks sum the diagonal of the cached pseudoinverse.  Float ones
-    take N |M P|_F^2 with P = I - J/N over the cached M of _inverse_factor,
-    since trace(P M^T M P) is that squared norm: each row of M is centred by
-    its mean over the vertices, _COLUMNS vertex columns at a time, so no
-    second order-N array is built.
+    N trace(L+) = N trace(G) - 1^T G 1, with G the inverse of the grounded
+    block padded with zeros, since trace(P G P) = trace(G) - 1^T G 1 / N.
+    Exact networks take G = D Y / det from _grounded_adjugate, so the index
+    is the one Fraction D (N trace(Y) - sum(Y)) / det; they neither read nor
+    fill the cached pseudoinverse, and need no permutation, as a trace and
+    a sum do not depend on the order.  Float ones take N |M P|_F^2 with
+    P = I - J/N over the cached M of _inverse_factor, since
+    trace(P M^T M P) is that squared norm: each row of M is centred by its
+    mean over the vertices, _COLUMNS vertex columns at a time, so no second
+    order-N array is built.
     """
     n = net.order
     if net.is_exact:
-        return n * sum(map(operator.getitem, net.pseudoinverse(), range(n)))
+        y, d, det, _ = _grounded_adjugate(net)
+        trace = sum([row[i] for i, row in enumerate(y)])
+        return Fraction(d * (n * trace - sum(map(sum, y))), det)
     import numpy as np
 
     m = net._embedding()

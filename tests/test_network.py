@@ -596,6 +596,79 @@ def test_deferred_schur_equals_the_fraction_schur_complement(seed):
         assert [[Fraction(x, pivot) for x in row] for row in t] == want
 
 
+def _pendant_multigraph(rng: random.Random, size: int) -> Network:
+    """Connected exact multigraph of `size` vertices: a random core with a
+    loop and a parallel edge, and long paths hung off it.  The vertices are
+    shuffled, so the ground, vertex 0, lands anywhere; a path's rows wait
+    out every pivot until the elimination reaches them."""
+    pool = [Fraction(rng.randint(1, 999), rng.randint(1, 999)) for _ in range(rng.randint(1, 6))]
+    labels = [f"v{k}" for k in range(size)]
+    rng.shuffle(labels)
+    core = rng.randint(1, size)
+    edges = [(labels[k], labels[rng.randrange(k)], rng.choice(pool)) for k in range(1, core)]
+    edges += [(labels[rng.randrange(core)], labels[rng.randrange(core)], rng.choice(pool))
+              for _ in range(core // 2)]
+    edges.append((labels[0], labels[0], rng.choice(pool)))
+    if edges[0][0] != edges[0][1]:
+        edges.append(edges[0][:2] + (rng.choice(pool),))
+    for k in range(core, size):
+        # start a new path off the core, or grow the last one
+        tail = labels[rng.randrange(core)] if rng.random() < 0.2 else labels[k - 1]
+        edges.append((tail, labels[k], rng.choice(pool)))
+    return Network(sorted(labels, key=lambda v: int(v[1:])), edges)
+
+
+def _adjugate_draws(prisms, ladders) -> list[Network]:
+    rng = random.Random(2300)
+    nets = [prisms(n) for n in range(1, 13)] + [ladders(n) for n in range(1, 13)]
+    nets += [_pendant_multigraph(rng, rng.randint(1, 24)) for _ in range(20)]
+    nets += [_random_multigraph(rng, rng.randint(1, 24), rng.randint(1, 6)) for _ in range(20)]
+    return nets
+
+
+def test_adjugate_equals_the_bordered_schur_and_gauss_jordan(prisms, ladders):
+    for net in _adjugate_draws(prisms, ladders):
+        y, d, det, order = network._grounded_adjugate(net)
+        a, d_want, order_want = network._integer_laplacian(net, ground=0)
+        m = net.order - 1
+        # the reference: the Schur complement of [[D*L0, I], [I, 0]] is -(D*L0)^-1
+        bordered = [row + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
+        bordered += [[int(i == j) for j in range(m)] + [0] * m for i in range(m)]
+        t, bordered_det = network._schur(bordered, m)
+        inv, gj_det = _gauss_jordan([[Fraction(x) for x in row] for row in a])
+        assert (d, order) == (d_want, order_want)
+        assert det == bordered_det == gj_det
+        assert all(type(x) is int for row in y for x in row)
+        assert y == [[-x for x in row] for row in t]
+        assert [[Fraction(x, det) for x in row] for row in y] == inv
+
+
+def test_exact_kirchhoff_reads_the_adjugate(monkeypatch, prisms, ladders):
+    from prismres.prism import kirchhoff_closed
+
+    draws = _adjugate_draws(prisms, ladders)
+    want = []
+    for net in draws:
+        lp = pinv_laplacian(net)
+        want.append(net.order * sum(lp[i][i] for i in range(net.order)))
+        assert kirchhoff_oracle(net) == want[-1]
+    one = kirchhoff_oracle(Network(["a"], []))
+    assert type(one) is Fraction and one == 0
+    for n in range(1, 41):
+        assert kirchhoff_oracle(prisms(n)) == kirchhoff_closed(n)
+
+    def no_pinv(net):
+        raise AssertionError("built L+")
+
+    monkeypatch.setattr(network, "pinv_laplacian", no_pinv)
+    for net, kf in zip(draws, want):
+        fresh = network_from_json(network_to_json(net))
+        assert kirchhoff_oracle(fresh) == kf
+        assert fresh._pinv is None
+    with pytest.raises(AssertionError, match="built L"):
+        resistance_oracle(build_prism(5), "p1", "q3")
+
+
 def test_minimum_degree_order_is_a_deterministic_permutation(prisms, ladders):
     rng = random.Random(2300)
     nets = [prisms(6), ladders(7), _random_multigraph(rng, 20, 8), _random_connected(rng, 25)]
