@@ -17,11 +17,12 @@ each deferred scaling is one exact division, as every entry it yields is a
 minor of the matrix.  The answers do not depend on the order.  The inverse
 of the grounded block is read off the same factor by back-substitution in
 integers, as the adjugate of D*L0, with no second elimination.  Float
-networks build L as float64, ground in place, giving the ground the row and
-column of the identity, and factor the whole matrix with Cholesky.  Each
-elimination builds the matrix it consumes.  An exact network caches L+, a
-float one the inverse M of its lower Cholesky factor, with M^T M = G, and
-L+ only once pseudoinverse() asks for it.  Exact answers run on Python ints
+networks build L as float64, ground in place, giving each grounded vertex
+the row and column of the identity, and factor the whole matrix as C C^T
+with Cholesky; every float answer is a Gram product through that one lower
+factor C.  Each elimination builds the matrix it consumes.  An exact
+network caches L+, a float one M = C^-1, with M^T M = G, and L+ only once
+pseudoinverse() asks for it.  Exact answers run on Python ints
 and Fractions alone: exact L+ is a tuple of row tuples of Fractions.  Float
 answers run on NumPy and LAPACK: M and float L+ are float64 arrays.  NumPy
 is imported only where an array is built and SciPy only where LAPACK is
@@ -30,13 +31,16 @@ array in both modes, and no exact elimination calls it.
 
 * The Moore-Penrose pseudoinverse is L+ = P G P, where G is the inverse of
   the grounded block, padded with zeros at the ground, and P = I - J/N.
-  Exact effective resistances are read off it.  The Kirchhoff index
+  Exact effective resistances are read off it, and float L+ is the Gram
+  matrix (M P)^T (M P).  The Kirchhoff index
   N trace(L+) = N trace(G) - 1^T G 1 needs no L+: exact networks take it
   off the adjugate in integers, one Fraction, and float ones take
   N |M P|_F^2, a sum of squares, as they take r(u, v) = |M[:,u] - M[:,v]|^2.
 * Spanning-tree counts are the determinant of the grounded block.
 * Reductions onto a terminal set stop the elimination after the interior
   pivots: what is left is the Schur complement, the Kron-reduced Laplacian.
+  In float mode it is L_KK - W^T W, with W = C^-1 L_IK for the interior I
+  and the kept vertices K.
 """
 
 from __future__ import annotations
@@ -53,7 +57,8 @@ class DisconnectedNetworkError(ValueError):
 class SingularMatrixError(ArithmeticError):
     """A float Cholesky factorization, or the inversion of its factor, failed
     on a connected network too ill-conditioned (or too ill-scaled) for
-    binary64, or a float resistance or Kirchhoff index is past its range."""
+    binary64, or a float resistance, Kirchhoff index, reduced conductance or
+    its resistance is past the binary64 range."""
 
 
 # columns of M that kirchhoff_oracle centres at a time: at order 6000 they
@@ -248,22 +253,25 @@ def _require_connected(net: Network) -> None:
         raise DisconnectedNetworkError("network is disconnected")
 
 
-def _cholesky(lap, ground: Sequence[int], lower: int = 0):
-    """Cholesky factor of a float Laplacian grounded in place, upper unless `lower`.
+def _cholesky(lap, ground: Sequence[int]):
+    """Lower Cholesky factor C of a float Laplacian grounded in place.
 
     Grounds `lap` in place, giving each vertex in `ground` the row and column
     of the identity, which is positive definite whenever every other vertex
-    has a path to the ground, and overwrites it with the factor: callers pass
-    a Laplacian built for it.  Its transpose is Fortran-ordered, so LAPACK
-    factors it in place, and the factor is Fortran-ordered as well, with
-    zeros in its other triangle.
+    has a path to the ground, and overwrites it with C, where C C^T is the
+    grounded matrix: callers pass a Laplacian built for it.  Its transpose is
+    Fortran-ordered, so LAPACK factors it in place, and C is Fortran-ordered
+    as well, with zeros above its diagonal.  The grounded vertices keep their
+    row and column of the identity in C.  Every float answer is a Gram
+    product through C: of M = C^-1 (_inverse_factor), or of C^-1 L_IK in
+    kron_reduce.
     """
     from scipy.linalg import lapack
 
     lap[ground, :] = 0.0
     lap[:, ground] = 0.0
     lap[ground, ground] = 1.0
-    return _finite(*lapack.dpotrf(lap.T, lower=lower, overwrite_a=1))
+    return _finite(*lapack.dpotrf(lap.T, lower=1, overwrite_a=1))
 
 
 def _inverse_factor(net: Network):
@@ -293,7 +301,7 @@ def _inverse_factor(net: Network):
     _require_connected(net)
     lap = net.laplacian()
     k = int(np.argmax(lap.diagonal()))
-    m = _finite(*lapack.dtrtri(_cholesky(lap, [k], lower=1), lower=1, overwrite_c=1))
+    m = _finite(*lapack.dtrtri(_cholesky(lap, [k]), lower=1, overwrite_c=1))
     m[k, k] = 0.0
     return m
 
@@ -355,14 +363,15 @@ def pinv_laplacian(net: Network):
     Exact networks ground vertex 0 and take L0^-1 = D Y / det from
     _grounded_adjugate, whose rows and columns are in elimination order,
     then put them back in vertex order; L+ is symmetric, so each of its
-    entries is built once, on or above the diagonal, and mirrored.  Float
-    networks take M from _inverse_factor, which grounds the vertex with the
-    largest conductance sum, and form G = M^T M in place (LAPACK's lauum:
-    potri is the triangular inverse followed by lauum, so this is the same
-    work).
-    Then L+ = P G P, with G the inverse of L0 padded with zeros at the
-    ground and P = I - J/N: on an exact network a tuple of row tuples of
-    Fractions, built without NumPy; a float64 array otherwise.  Raises
+    entries is built once, on or above the diagonal, and mirrored.
+    L+ = P G P, with G the inverse of L0 padded with zeros at the ground and
+    P = I - J/N: on an exact network a tuple of row tuples of Fractions,
+    built without NumPy; a float64 array otherwise.  Float networks take a
+    fresh M from _inverse_factor, which grounds the vertex with the largest
+    conductance sum, centre its rows in place into M P, as kirchhoff_oracle
+    does, and return the Gram matrix L+ = (M P)^T (M P), one more order-N
+    array.  NumPy computes that product with BLAS's syrk and mirrors one
+    triangle, so float L+ equals its transpose bit for bit.  Raises
     DisconnectedNetworkError when `net` is not connected.  The float
     resistances and both Kirchhoff indices do not call this; _inverse_factor
     says how accurate the float answers are.
@@ -384,18 +393,9 @@ def pinv_laplacian(net: Network):
                             + [Fraction(d * (n * n * x - n * (si + sj) + total), scale)
                                for x, sj in zip(row[i:], sums[i:])]))
         return tuple(lp)
-    import numpy as np
-    from scipy.linalg import lapack
-
-    low, _ = lapack.dlauum(_inverse_factor(net), lower=1, overwrite_c=1)
-    # lauum fills the lower triangle; the upper one stays zero
-    g = low + low.T
-    np.fill_diagonal(g, low.diagonal())
-    # centring rows, then columns, twice keeps the row sums near rounding level
-    for _ in range(2):
-        g -= g.mean(axis=1, keepdims=True)
-        g -= g.mean(axis=0, keepdims=True)
-    return (g + g.T) / 2.0
+    m = _inverse_factor(net)
+    m -= m.mean(axis=1, keepdims=True)
+    return m.T @ m
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +506,10 @@ class Network:
         """pinv_laplacian of this network, cached and read-only.
 
         Exact L+ is a tuple of row tuples, immutable already, and serves the
-        exact resistances; a float64 L+ is made read-only, and no float
-        answer of the oracle reads it, nor does either Kirchhoff index.
+        exact resistances.  A float64 L+ is the Gram matrix (M P)^T (M P) of
+        a fresh M, centred in place, so the cached M is neither read nor
+        filled; it is made read-only, and no float answer of the oracle reads
+        it, nor does either Kirchhoff index.
         """
         if self._pinv is None:
             pinv = pinv_laplacian(self)
@@ -613,18 +615,25 @@ def matrix_tree_count(net: Network):
 def kron_reduce(net: Network, keep: Sequence[str]) -> Network:
     """Collapse a network onto `keep`, preserving their pairwise resistances.
 
-    Eliminates the interior vertices first and reads the surviving edges off
-    the Schur complement onto the kept vertices, in the order given.  Exact
-    networks run `_schur` on the integer rows of D*L, built with the
-    interior in minimum-degree order and the kept vertices last.  Float ones
-    take the kept rows and columns of L, then ground the kept vertices in
-    place, so one Cholesky solve against those columns (their kept rows
-    zeroed) gives the interior's share L_II^-1 L_IK, with exact zeros at the
-    kept rows.  An entry is exactly zero when no path joins its two vertices
-    through the interior, and that pair gets no edge.  Any other entry is
-    nonzero, and in float mode it is a sum of terms of one sign, so it
-    cannot round to zero.  Raises DisconnectedNetworkError when some
-    interior vertex has no path to any kept vertex.
+    Eliminates the interior vertices I first and reads the surviving edges
+    off the Schur complement S = L_KK - L_KI L_II^-1 L_IK onto the kept
+    vertices K, in the order given.  Exact networks run `_schur` on the
+    integer rows of D*L, built with the interior in minimum-degree order and
+    the kept vertices last.  Float ones take the block L_KK and the kept
+    columns of L, then ground the kept vertices in place, so that _cholesky
+    factors L_II = C C^T, and one triangular solve through C against those
+    columns, their kept rows zeroed, gives W = C^-1 L_IK, zero at the kept
+    rows.  Then S = L_KK - W^T W, and the conductances are W^T W - L_KK off
+    the diagonal.  An entry is exactly zero when no edge and no path through
+    the interior joins its two vertices, and that pair gets no edge.  Any
+    other entry is nonzero, and in float mode it is a sum of terms of one
+    sign, so it cannot round to zero: L_II is an M-matrix, so C has no
+    positive entry off its diagonal, C^-1 >= 0 and W <= 0 entrywise, and
+    every step of the factorization, of the solve and of W^T W - L_KK adds
+    terms of one sign, in floating point too.  Raises
+    DisconnectedNetworkError when some interior vertex has no path to any
+    kept vertex, and SingularMatrixError when a float conductance, or the
+    resistance it gives, is past the binary64 range.
     """
     keep = list(keep)
     if not keep:
@@ -645,18 +654,19 @@ def kron_reduce(net: Network, keep: Sequence[str]) -> Network:
 
         lap = net.laplacian()
         rhs = lap[:, kidx]
-        kept_rows = lap[kidx, :]
+        kept = rhs[kidx]
         rhs[kidx, :] = 0.0
-        solved, _ = lapack.dpotrs(_cholesky(lap, kidx), rhs)
-        schur = kept_rows[:, kidx] - kept_rows @ solved
-        conductance = -(schur + schur.T) / 2.0
+        w, _ = lapack.dtrtrs(_cholesky(lap, kidx), rhs, lower=1)
+        conductance = (w.T @ w - kept).tolist()
 
     edges = []
     for i in range(len(keep)):
         for j in range(i + 1, len(keep)):
             g = conductance[i][j]
             if g != 0:
-                edges.append((keep[i], keep[j], 1 / g))
+                # a float conductance past the range, or its resistance, raises
+                r = 1 / g if net.is_exact else _in_range(1 / _in_range(g))
+                edges.append((keep[i], keep[j], r))
     return Network(keep, edges)
 
 

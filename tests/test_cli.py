@@ -384,6 +384,25 @@ def test_net_float_answer_past_binary64_exits_one(capsys, tmp_path, argv):
     assert run_cli(capsys, "net", "resistance", str(path), "a", "b")[:2] == (0, "1e+308\n")
 
 
+@pytest.mark.parametrize("edges, keep", [
+    # the parallel pair's conductance sum is inf; the path's reduced
+    # conductance, 5e-309, has no finite resistance
+    ([("a", "b", 1e-308), ("a", "b", 1e-308), ("b", "c", 1.0)], "a,b"),
+    ([("a", "b", 1e308), ("b", "c", 1e308)], "a,c"),
+], ids=["parallel", "path"])
+def test_net_float_reduction_past_binary64_exits_one(capsys, tmp_path, edges, keep):
+    doc = {"vertices": ["a", "b", "c"], "edges": [{"u": u, "v": v, "r": r} for u, v, r in edges]}
+    path = tmp_path / "reduce.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # neither overflow is a warning
+        code, out, err = run_cli(capsys, "net", "reduce", str(path), "--keep", keep)
+    assert (code, out) == (1, "")
+    error, record = err.splitlines()
+    assert error == "error: the answer is past the binary64 range; use exact resistances"
+    assert record.startswith("# command=net elapsed_ms=")
+
+
 def test_net_malformed_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -189,6 +189,15 @@ def test_pinv_float_residual(float_prisms):
     assert np.abs(lap @ lp @ lap - lap).max() <= 1e-10
 
 
+def test_float_pinv_is_the_centred_gram_matrix(prisms, ladders):
+    # (M P)^T (M P) is one syrk with a mirrored triangle: symmetric bit for bit
+    for net in [build(n) for build in (prisms, ladders) for n in range(1, 13)]:
+        approx = pinv_laplacian(net.to_float())
+        assert np.array_equal(approx, approx.T)
+        want = np.array([[float(x) for x in row] for row in net.pseudoinverse()])
+        assert np.abs(approx - want).max() <= 1e-12, net
+
+
 def test_one_vertex_network():
     for r in (1, 1.0):
         net = Network(["a"], [("a", "a", r)])  # the loop only sets the mode
@@ -265,7 +274,8 @@ def test_float_eliminations_factor_their_own_laplacian_in_place():
     warm.pseudoinverse()
     kron_reduce(warm, ["p1", "q2", "p3"])
     square = 8 * 800 ** 2  # one float64 array of order 800
-    for reduce, bound in ((lambda net: net.pseudoinverse(), 3.5),
+    # L+ = (M P)^T (M P) holds M and the product, two order-N arrays
+    for reduce, bound in ((lambda net: net.pseudoinverse(), 2.5),
                           (lambda net: kron_reduce(net, ["p1", "q100", "p200"]), 1.5)):
         net = build_prism(400).to_float()
         tracemalloc.start()
@@ -781,6 +791,35 @@ def test_kron_float_matches_exact(ladders):
         assert abs(float(r) - fr) <= 1e-12 * float(r)
 
 
+def _two_blocks(rng: random.Random, size: int) -> tuple[Network, list[str]]:
+    """An exact multigraph of two random blocks sharing the cut vertex v0,
+    and a kept set holding v0 and vertices of both blocks.  Every path
+    between the blocks crosses v0, so a kept vertex of one block and one of
+    the other are joined by no path through the interior."""
+    labels = [f"v{k}" for k in range(size)]
+    split = rng.randrange(2, size - 1)
+    blocks = [labels[:split], labels[:1] + labels[split:]]
+    pool = [Fraction(rng.randint(1, 100), rng.randint(1, 100)) for _ in range(6)]
+    edges, keep = [], [labels[0]]
+    for block in blocks:
+        edges += [(block[k], block[rng.randrange(k)], rng.choice(pool)) for k in range(1, len(block))]
+        edges += [(rng.choice(block), rng.choice(block), rng.choice(pool)) for _ in block]
+        keep += rng.sample(block[1:], rng.randrange(1, len(block)))
+    rng.shuffle(keep)
+    return Network(labels, edges), keep
+
+
+def test_float_kron_has_the_exact_edges():
+    rng = random.Random(2424)
+    for _ in range(40):
+        net, keep = _two_blocks(rng, rng.randrange(4, 17))
+        want = {(u, v): float(r) for u, v, r in kron_reduce(net, keep).edges}
+        got = {(u, v): r for u, v, r in kron_reduce(net.to_float(), keep).edges}
+        assert len(want) < len(keep) * (len(keep) - 1) // 2  # pairs across v0
+        assert got.keys() == want.keys()
+        assert all(abs(got[p] - r) <= 1e-9 * r for p, r in want.items())
+
+
 def test_kron_floating_interior_rejected():
     net = Network(list("abc"), [("a", "b", 1)])
     with pytest.raises(DisconnectedNetworkError):
@@ -833,6 +872,19 @@ def test_float_kron_keeps_huge_edges():
     (u, v, r), = kron_reduce(_path(1e12, 1e12), ["v0", "v2"]).edges
     assert (u, v) == ("v0", "v2")
     assert abs(r - 2e12) <= 1e-12 * 2e12
+
+
+@pytest.mark.parametrize("net, keep", [
+    # the parallel pair's conductance sum is inf; the path's reduced
+    # conductance, 5e-309, has no finite resistance
+    (Network(list("abc"), [("a", "b", 1e-308), ("a", "b", 1e-308), ("b", "c", 1.0)]), ["a", "b"]),
+    (_path(1e308, 1e308), ["v0", "v2"]),
+], ids=["parallel", "path"])
+def test_float_kron_past_the_binary64_range_is_singular(net, keep):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # neither overflow is a warning
+        with pytest.raises(SingularMatrixError, match="binary64 range"):
+            kron_reduce(net, keep)
 
 
 def test_float_scaled_prism_is_accurate(prisms):
