@@ -129,7 +129,7 @@ def _load_network(path: str):
     with open(path, encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     return network_from_json(doc)
 

@@ -22,16 +22,17 @@ the edge list, grounding the vertex with the largest conductance sum, and
 factor it once as Q L0 Q^T = L D L^T, with Q a permutation and L unit
 lower triangular, the square-root-free Cholesky factorization: SuperLU in
 minimum-degree order, pivoting on the diagonal alone.  Every float answer
-is a Gram product through that one factor.  Each elimination builds the
-matrix it consumes, and no float answer builds an order-N dense
-Laplacian.  An exact network caches L+, a float one the
-vertex vectors Z, with Z Z^T = G, and L+ only once pseudoinverse() asks for
-it.  Exact answers run on Python ints and Fractions alone: exact L+ is a
-tuple of row tuples of Fractions.  Float answers run on NumPy and SciPy: Z
-and float L+ are float64 arrays.  NumPy is imported only where an array is
-built and SciPy only where a sparse matrix is, so no exact answer loads
-either.  Network.laplacian still returns a dense array in both modes, and
-no elimination calls it.
+goes through that one factor: a Gram product, or for a Kron reduction
+SuperLU's own solve.  Each elimination builds the matrix it consumes, and
+no float answer builds an order-N dense Laplacian.  An exact network
+caches L+, a float one the vertex vectors Z, with Z Z^T = G, and L+ only
+once pseudoinverse() asks for it.  Exact answers run on Python ints and
+Fractions alone: exact L+ is a tuple of row tuples of Fractions.  Float
+answers run on NumPy and SciPy: Z and float L+ are float64 arrays.  NumPy
+is imported only where an array is built and SciPy only where a sparse
+matrix is, so no exact answer loads either.  Network.laplacian returns the
+dense Laplacian of the same builders, the integer rows of D*L or the
+sparse float matrix, and no elimination calls it.
 
 * The Moore-Penrose pseudoinverse is L+ = P G P, where G is the inverse of
   the grounded block, padded with zeros at the ground, and P = I - J/N.
@@ -43,8 +44,9 @@ no elimination calls it.
 * Spanning-tree counts are the determinant of the grounded block.
 * Reductions onto a terminal set stop the elimination after the interior
   pivots: what is left is the Schur complement, the Kron-reduced Laplacian.
-  In float mode it is L_KK - W^T W, with W = D^-1/2 L^-1 Q L_IK for the
-  interior I, factored as above, and the kept vertices K.
+  In float mode it is L_KK - B^T L_II^-1 B, with B = L_IK for the
+  interior I and the kept vertices K: SuperLU solves L_II X = B through
+  the factor of L_II, and B^T X sums terms of one sign.
 """
 
 from __future__ import annotations
@@ -242,6 +244,14 @@ def _in_range(x: float) -> float:
     return x
 
 
+def _binary64(r) -> float:
+    """float(r), or an infinity of r's sign for an int or Fraction past the binary64 range."""
+    try:
+        return float(r)
+    except OverflowError:
+        return math.inf if r > 0 else -math.inf
+
+
 def _require_connected(net: Network) -> None:
     if len(set(_components(net))) > 1:
         raise DisconnectedNetworkError("network is disconnected")
@@ -252,9 +262,10 @@ def _sparse_laplacian(net: Network, ground: Sequence[int] | None = None):
 
     Its rows and columns follow `order`, the vertices not in `ground` in
     vertex order and then `ground` as given, so the grounded block L0 is
-    A[:m, :m], with m the number of vertices not grounded.  With no
-    `ground`, the vertex with the largest conductance sum (the lowest index
-    among equals) is the ground.  A sum of parallel conductances past the
+    A[:m, :m], with m the number of vertices not grounded.  With `ground`
+    None, the vertex with the largest conductance sum (the lowest index
+    among equals) is the ground; with it empty, A is the whole Laplacian in
+    vertex order.  A sum of parallel conductances past the
     binary64 range is inf, without a warning; _factor then reports it.
     """
     import numpy as np
@@ -282,21 +293,21 @@ def _sparse_laplacian(net: Network, ground: Sequence[int] | None = None):
 
 
 def _factor(a):
-    """(L, d, perm) with Q A Q^T = (I + L) diag(d) (I + L)^T, for a float CSC matrix A.
+    """SuperLU's factor of a float CSC matrix A, Q A Q^T = L D L^T, checked to be one.
 
     SuperLU factors A in minimum-degree order (MMD on A^T + A; George and
     Liu, SIAM Review 1989), pivoting on the diagonal alone, so its row and
-    column permutations agree and U = diag(d) (I + L)^T: this is the
-    square-root-free Cholesky factorization.  L is the strictly lower
-    triangular part of the unit lower factor, a CSC array, and the
-    permutation Q takes row i of A to row perm[i].  Callers pass a grounded
-    Laplacian, positive definite whenever every vertex has a path to the
-    ground, and an M-matrix, so L has no positive entry.  Raises
-    SingularMatrixError when SuperLU fails, when the permutations differ, or
-    when a pivot is not positive and finite.
+    column permutations agree and U = D L^T: this is the square-root-free
+    Cholesky factorization.  The returned object holds the unit lower
+    triangular L as lu.L, D as the diagonal of lu.U, and Q as lu.perm_c,
+    which takes row i of A to row perm_c[i]; lu.solve(b) solves A x = b
+    through them.  Callers pass a grounded Laplacian, positive definite
+    whenever every vertex has a path to the ground, and an M-matrix, so L
+    has no positive entry off its diagonal.  Raises SingularMatrixError
+    when SuperLU fails, when the permutations differ, or when a pivot is
+    not positive and finite.
     """
     import numpy as np
-    from scipy.sparse import tril
     from scipy.sparse.linalg import splu
 
     try:
@@ -307,7 +318,7 @@ def _factor(a):
     if lu is not None:
         d = lu.U.diagonal()
         if np.array_equal(lu.perm_r, lu.perm_c) and np.all((d > 0) & (d < math.inf)):
-            return tril(lu.L, -1, format="csc"), d, lu.perm_c
+            return lu
     raise SingularMatrixError("binary64 Cholesky factorization failed: the conductances are "
                               "too far apart or too large for floats; use exact resistances")
 
@@ -316,8 +327,9 @@ def _inverse_factor(net: Network):
     """Z, with Z Z^T = G, the inverse of the grounded block padded with zeros.
 
     Grounds the vertex with the largest conductance sum (the lowest index
-    among equals) and factors the grounded block as
-    Q L0 Q^T = (I + L) D (I + L)^T with _factor, so that
+    among equals), factors the grounded block with _factor and reads D, Q
+    and L, the strictly lower part of the unit lower factor, off that
+    factor, so that Q L0 Q^T = (I + L) D (I + L)^T and
     G = Q^T Y Y^T Q with Y = (I + L)^-T D^-1/2.  Y is upper triangular and
     is built one row at a time from the bottom, over the CSC column j of L:
     Y[j, j] = d_j^-1/2 and Y[j, j+1:] = -L[k, j] Y[k, j+1:] summed over the
@@ -339,13 +351,15 @@ def _inverse_factor(net: Network):
     grounding the 1e7-ohm end would cost 2% of the resistance.
     """
     import numpy as np
+    from scipy.sparse import tril
 
     _require_connected(net)
     lap, order = _sparse_laplacian(net)
     m = net.order - 1
-    low, d, perm = _factor(lap[:m, :m])
+    lu = _factor(lap[:m, :m])
+    low, d = tril(lu.L, -1, format="csc"), lu.U.diagonal()
     vertex = np.empty(m, dtype=np.intp)  # the vertex at each position of the factor
-    vertex[perm] = order[:m]
+    vertex[lu.perm_c] = order[:m]
     below = vertex[low.indices]  # the vertex of each nonzero's row
     minus = -low.data
     starts = low.indptr.tolist()
@@ -487,7 +501,7 @@ class Network:
         for u, v, r in triples:
             if u not in self._index or v not in self._index:
                 raise ValueError(f"edge ({u!r}, {v!r}) references an unknown vertex")
-            r = Fraction(r) if self._exact else float(r)
+            r = Fraction(r) if self._exact else _binary64(r)
             if not r > 0:
                 raise ValueError(f"edge ({u!r}, {v!r}) must have positive resistance, got {r}")
             if not self._exact and not (math.isfinite(r) and math.isfinite(1.0 / r)):
@@ -534,29 +548,21 @@ class Network:
 
         A new, writable array on every call: on an exact network a Fraction
         object array, D*L / D from the integer rows the exact eliminations
-        use; float64 otherwise, summed edge by edge.  A float sum of parallel
-        conductances past the binary64 range is inf, without a warning.  No
-        elimination calls this: each builds its own matrix from the edges.
+        use; float64 otherwise, the float eliminations' sparse Laplacian
+        with no vertex grounded, made dense, so its diagonal holds exactly
+        the conductance sums the float path picks its ground by.  A float
+        sum of parallel conductances past the binary64 range is inf, without
+        a warning.  No elimination calls this: each builds its own matrix
+        from the edges.
         """
+        if not self._exact:
+            return _sparse_laplacian(self, [])[0].toarray()
         import numpy as np
 
-        n = self.order
-        if self._exact:
-            rows, d, _ = _integer_laplacian(self, range(n))
-            zero = Fraction(0)
-            return np.array([[Fraction(x, d) if x else zero for x in row] for row in rows],
-                            dtype=object)
-        rows = np.zeros((n, n))
-        with np.errstate(over="ignore"):
-            for iu, iv, r in self._edges:
-                if iu == iv:
-                    continue
-                g = 1 / r
-                rows[iu, iu] += g
-                rows[iv, iv] += g
-                rows[iu, iv] -= g
-                rows[iv, iu] -= g
-        return rows
+        rows, d, _ = _integer_laplacian(self, range(self.order))
+        zero = Fraction(0)
+        return np.array([[Fraction(x, d) if x else zero for x in row] for row in rows],
+                        dtype=object)
 
     def pseudoinverse(self):
         """pinv_laplacian of this network, cached and read-only.
@@ -587,7 +593,8 @@ class Network:
         if not self._exact:
             return self
         return Network(self._vertices,
-                       [(self._vertices[iu], self._vertices[iv], float(r)) for iu, iv, r in self._edges])
+                       [(self._vertices[iu], self._vertices[iv], _binary64(r))
+                        for iu, iv, r in self._edges])
 
 
 def resistance_oracle(net: Network, u: str, v: str):
@@ -671,18 +678,17 @@ def kron_reduce(net: Network, keep: Sequence[str]) -> Network:
     vertices K, in the order given.  Exact networks run `_schur` on the
     integer rows of D*L, built with the interior in minimum-degree order and
     the kept vertices last.  Float ones build the sparse Laplacian with the
-    kept vertices last and factor its interior block with _factor,
-    Q L_II Q^T = (I + L) D (I + L)^T; one sparse forward solve through the
-    factor, with the kept columns L_IK as the right-hand sides, gives
-    W = D^-1/2 (I + L)^-1 Q L_IK, so that L_KI L_II^-1 L_IK = W^T W.  Then
-    S = L_KK - W^T W, and the conductances are W^T W - L_KK off the
-    diagonal.  An entry is exactly zero when no edge and no path through the
-    interior joins its two vertices, and that pair gets no edge.  Any other
-    entry is nonzero, and in float mode it is a sum of terms of one sign, so
-    it cannot round to zero: L_II is an M-matrix, so L has no positive
-    entry, (I + L)^-1 >= 0 and W <= 0 entrywise, and every step of the
-    factorization, of the solve and of W^T W - L_KK adds terms of one sign,
-    in floating point too.  Raises
+    kept vertices last, factor its interior block with _factor and solve
+    L_II X = B for the dense kept columns B = L_IK with the factor's own
+    solve, so that L_KI L_II^-1 L_IK = B^T X and the conductances are
+    B^T X - L_KK off the diagonal.  An entry is exactly zero when no edge
+    and no path through the interior joins its two vertices, and that pair
+    gets no edge.  Any other entry is nonzero, and in float mode it is a
+    sum of terms of one sign, so it cannot round to zero: L_II is an
+    M-matrix, so the factor L D L^T has no positive entry off the diagonal
+    of L and D > 0.  With B <= 0, both triangular solves add terms of one
+    sign, X <= 0, B^T X sums only nonnegative products, and -L_KK is >= 0
+    off the diagonal, in floating point too.  Raises
     DisconnectedNetworkError when some interior vertex has no path to any
     kept vertex, and SingularMatrixError when a float conductance, or the
     resistance it gives, is past the binary64 range.
@@ -702,19 +708,10 @@ def kron_reduce(net: Network, keep: Sequence[str]) -> Network:
         t, pivot = _schur(a, net.order - len(kidx))
         conductance = [[Fraction(-x, pivot * d) for x in row] for row in t]
     else:
-        import numpy as np
-        from scipy.sparse.linalg import spsolve_triangular
-
         lap, _ = _sparse_laplacian(net, kidx)
         m = net.order - len(kidx)
-        low, d, perm = _factor(lap[:m, :m])
-        rhs = np.empty((m, len(kidx)))
-        rhs[perm] = lap[:m, m:].toarray()
-        # in CSR, which older SciPy releases require here (CSC warned)
-        w = spsolve_triangular(low.tocsr(), rhs, lower=True, unit_diagonal=True,
-                               overwrite_A=True, overwrite_b=True)
-        w /= np.sqrt(d)[:, None]
-        conductance = (w.T @ w - lap[m:, m:].toarray()).tolist()
+        b = lap[:m, m:].toarray()
+        conductance = (b.T @ _factor(lap[:m, :m]).solve(b) - lap[m:, m:].toarray()).tolist()
 
     edges = []
     for i in range(len(keep)):

@@ -414,14 +414,26 @@ def test_net_malformed_exits_two(capsys, tmp_path):
 
     assert run_cli(capsys, "net", "resistance", str(tmp_path / "nope.json"), "a", "b")[0] == 2
 
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)  # nested past the recursion limit
+    code, out, err = run_cli(capsys, "net", "resistance", str(deep), "a", "b")
+    assert (code, out) == (2, "")
+    error, record = err.splitlines()
+    assert error.startswith(f"error: {deep}: not valid JSON")
+    assert record.startswith("# command=net elapsed_ms=")
+
 
 def test_net_rejects_non_finite_resistance(capsys, tmp_path):
     path = tmp_path / "r.json"
-    for r in ("Infinity", "NaN", "1e-320"):
-        path.write_text('{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "r": %s}]}' % r)
+    # beside a float edge, the integer 10^400 is a float past the binary64 range
+    for r in ("Infinity", "NaN", "1e-320", "1" + "0" * 400):
+        path.write_text('{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "r": 1.5}, '
+                        '{"u": "a", "v": "b", "r": %s}]}' % r)
         code, out, err = run_cli(capsys, "net", "resistance", str(path), "a", "b")
         assert (code, out) == (2, ""), r
-        assert "edge ('a', 'b')" in err, r
+        error, record = err.splitlines()
+        assert error.startswith("error: edge ('a', 'b')"), r
+        assert record.startswith("# command=net elapsed_ms="), r
 
 
 def test_net_reduce_unknown_keep(capsys, triangle_file):

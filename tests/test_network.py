@@ -102,9 +102,13 @@ def test_network_validation():
 
 
 def test_network_rejects_non_finite_resistance():
-    for r in (math.inf, math.nan, 1e-320):  # 1/1e-320 overflows
+    # 1/1e-320 overflows, and 10^400 has no binary64 value
+    for r in (math.inf, math.nan, 1e-320, 10 ** 400, Fraction(10 ** 400)):
         with pytest.raises(ValueError, match=r"edge \('a', 'b'\)"):
             Network(["a", "b"], [("a", "b", 1.0), ("a", "b", r)])
+    exact = Network(["a", "b"], [("a", "b", Fraction(10 ** 400))])
+    with pytest.raises(ValueError, match=r"edge \('a', 'b'\) must have a finite resistance"):
+        exact.to_float()
 
 
 def test_mode_detection():
@@ -1107,6 +1111,29 @@ def test_float_oracle_within_its_sum_of_squares_bound():
         want = float(kirchhoff_oracle(net))
         got = kirchhoff_oracle(fnet)
         assert abs(got - want) <= factor_bound + size ** 2 * eps * want, (size, got, want)
+
+
+def _float_networks():
+    """The networks of _float_shapes and the float copies of _power_of_two_networks."""
+    yield from _float_shapes(random.Random(26))
+    for net in _power_of_two_networks(5, 8):
+        yield net.to_float()
+
+
+def test_float_ground_is_the_largest_laplacian_diagonal():
+    # the tests above take the float path's ground from laplacian()
+    for net in _float_networks():
+        ground = int(np.argmax(net.laplacian().diagonal()))
+        assert np.flatnonzero(~net._embedding().any(axis=1)).tolist() == [ground], net
+
+
+def test_float_kron_raises_no_warning():
+    rng = random.Random(26)
+    for net in _float_networks():
+        keep = rng.sample(net.vertices, min(net.order, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kron_reduce(net, keep)
 
 
 # -- the eight-terminal stencil and four-corner assembly ------------------
