@@ -34,10 +34,8 @@ from .exact import (
 from .genfib import gfib, prism_spanning_tree_count
 from .ladder import (
     DeltaEdges,
-    LadderParams,
     ladder_branch,
     ladder_delta_edges,
-    ladder_params,
     ladder_terminal_resistances,
 )
 from .prism import (
@@ -95,8 +93,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Qsqrt3", "SQRT3", "TWO_MINUS_SQRT3", "TWO_PLUS_SQRT3", "two_minus_sqrt3_pow",
     "gfib", "prism_spanning_tree_count",
-    "DeltaEdges", "LadderParams", "ladder_branch", "ladder_delta_edges", "ladder_params",
-    "ladder_terminal_resistances",
+    "DeltaEdges", "ladder_branch", "ladder_delta_edges", "ladder_terminal_resistances",
     "DisconnectedNetworkError", "Network", "SingularMatrixError",
     "build_ladder", "build_prism", "kirchhoff_oracle", "kron_reduce",
     "matrix_tree_count", "network_from_json", "network_to_json",

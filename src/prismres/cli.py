@@ -42,9 +42,10 @@ from .prism import kirchhoff_closed, kirchhoff_float, prism_resistance, resistan
 
 # Largest n each command serves (verify's --n-max), checked before it does
 # any work.  Each cap costs about 1 GB of peak memory, except those of the
-# exact closed forms and verify, which need little memory but take minutes
-# there: verify's time grows about as n^4.  Float resistance and --method
-# coth run in O(1) and are not capped.
+# exact closed forms, which need little memory but take minutes there, and
+# verify's, which takes about 8 s there on a two-core x86-64 machine: its
+# time grows about as n^3.  Float resistance and --method coth run in O(1)
+# and are not capped.
 CAPS = {
     "resistance": 10 ** 7,
     "kirchhoff --method closed": 10 ** 7,
@@ -123,15 +124,30 @@ def _write(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _json_int(digits: str) -> int | float:
+    """A JSON integer: int(digits), or float(digits), an infinity, past the
+    interpreter's limit on the digits of an int string.  Such a number is
+    past the binary64 range too, where a float network takes a resistance to
+    be infinite, so the network's own check names its edge."""
+    try:
+        return int(digits)
+    except ValueError:
+        return float(digits)
+
+
 def _load_network(path: str):
+    """The network in the JSON file at `path`; a ValueError naming the file if it is not one."""
     from .network import network_from_json
 
     with open(path, encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
+            doc = json.load(handle, parse_int=_json_int)
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    return network_from_json(doc)
+    try:
+        return network_from_json(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # -- subcommand handlers ------------------------------------------------

@@ -21,23 +21,14 @@ _BRANCH_SIGNS = {"rung_diag": -1, "side_rung": 1}
 _HALF = Fraction(1, 2)
 
 
-class LadderParams(namedtuple("LadderParams", "n rung_diag side_rung side_diag")):
-    """Pairwise parallel combinations of the reduced corner-edge resistances.
-
-    rung_diag = par(rung, diag), side_rung = par(side, rung), and
-    side_diag = par(side, diag), where par(x, y) = xy/(x+y), each a Qsqrt3
-    for the ladder of n rungs.  These are the quantities with clean closed
-    forms; the individual edges are recovered from them by
-    ladder_delta_edges.  side_diag is always the integer n - 1.
-    """
-
-    __slots__ = ()
-
-
 def ladder_branch(n: int, name: str) -> Qsqrt3:
-    """One entry of ladder_params(n) alone: name "rung_diag" or "side_rung", n >= 1.
+    """One pairwise parallel combination of the reduced corner edges, n >= 1.
 
-    With x = 2 - sqrt3,
+    name "rung_diag" gives par(rung, diag) and "side_rung" par(side, rung),
+    where par(x, y) = xy/(x+y), for the ladder of n rungs; the third one,
+    par(side, diag), is always the integer n - 1.  These are the quantities
+    with clean closed forms; the individual edges are recovered from them
+    by ladder_delta_edges.  With x = 2 - sqrt3,
 
         rung_diag = -1 - sqrt3 + 2 sqrt3 / (1 - x^n)
         side_rung = -1 - sqrt3 + 2 sqrt3 / (1 + x^n)
@@ -52,31 +43,18 @@ def ladder_branch(n: int, name: str) -> Qsqrt3:
     return _HEAD + _TWO_SQRT3 / (1 + _BRANCH_SIGNS[name] * two_minus_sqrt3_pow(n))
 
 
-def ladder_params(n: int) -> LadderParams:
-    """Closed-form reduction parameters of the n-rung ladder, n >= 1.
-
-    rung_diag and side_rung are the two ladder_branch forms, and
-    side_diag = n - 1.
-    """
-    return LadderParams(
-        n=n,
-        rung_diag=ladder_branch(n, "rung_diag"),
-        side_rung=ladder_branch(n, "side_rung"),
-        side_diag=Qsqrt3(n - 1),
-    )
-
-
 def ladder_terminal_resistances(n: int) -> tuple[Qsqrt3, Qsqrt3, Qsqrt3]:
     """Corner-to-corner resistances of the n-rung ladder.
 
     Returns (across an end rung, along a rail, across a diagonal); each is
-    half the sum of the two LadderParams entries that share the edge.
+    half the sum of the two pairwise parallel combinations (ladder_branch)
+    that share the edge.
     """
-    p = ladder_params(n)
+    rung_diag, side_rung = ladder_branch(n, "rung_diag"), ladder_branch(n, "side_rung")
     return (
-        (p.rung_diag + p.side_rung) * _HALF,
-        (p.side_rung + p.side_diag) * _HALF,
-        (p.rung_diag + p.side_diag) * _HALF,
+        (rung_diag + side_rung) * _HALF,
+        (side_rung + (n - 1)) * _HALF,
+        (rung_diag + (n - 1)) * _HALF,
     )
 
 
@@ -96,16 +74,16 @@ class DeltaEdges(namedtuple("DeltaEdges", "n side rung diag")):
 def ladder_delta_edges(n: int) -> DeltaEdges:
     """Corner-edge conductances of the n-rung ladder, n >= 2.
 
-    Inverts the three pairwise-parallel relations of ladder_params:
+    Inverts the three pairwise-parallel relations of ladder_branch, with
+    side_diag = n - 1:
     1/rung = (1/rung_diag + 1/side_rung - 1/side_diag) / 2 and cyclically.
     n = 1 has only two distinct corners, so there is no four-corner reduction.
     """
     if n < 2:
         raise ValueError(f"four distinct corners require n >= 2, got n={n}")
-    p = ladder_params(n)
-    inv_rd = p.rung_diag.inverse()
-    inv_sr = p.side_rung.inverse()
-    inv_sd = p.side_diag.inverse()
+    inv_rd = ladder_branch(n, "rung_diag").inverse()
+    inv_sr = ladder_branch(n, "side_rung").inverse()
+    inv_sd = Fraction(1, n - 1)
     return DeltaEdges(
         n=n,
         side=(inv_sr + inv_sd - inv_rd) * _HALF,

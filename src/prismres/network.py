@@ -38,9 +38,10 @@ sparse float matrix, and no elimination calls it.
   the grounded block, padded with zeros at the ground, and P = I - J/N.
   Exact effective resistances are read off it, and float L+ is the Gram
   matrix (P Z)(P Z)^T.  The Kirchhoff index
-  N trace(L+) = N trace(G) - 1^T G 1 needs no L+: exact networks take it
-  off the adjugate in integers, one Fraction, and float ones take
-  N |P Z|_F^2, a sum of squares, as they take r(u, v) = |Z[u] - Z[v]|^2.
+  N trace(L+) = N trace(G) - 1^T G 1 needs no L+, in either mode: exact
+  networks take both terms off the adjugate in integers, one Fraction, and
+  float ones off Z, trace(G) = |Z|_F^2 and 1^T G 1 = |Z^T 1|^2, two sums of
+  squares, as they take r(u, v) = |Z[u] - Z[v]|^2.
 * Spanning-tree counts are the determinant of the grounded block.
 * Reductions onto a terminal set stop the elimination after the interior
   pivots: what is left is the Schur complement, the Kron-reduced Laplacian.
@@ -52,6 +53,7 @@ sparse float matrix, and no elimination calls it.
 from __future__ import annotations
 
 import math
+import reprlib
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
@@ -65,11 +67,6 @@ class SingularMatrixError(ArithmeticError):
     not positive and finite, on a connected network too ill-conditioned (or
     too ill-scaled) for binary64, or a float resistance, Kirchhoff index,
     reduced conductance or its resistance is past the binary64 range."""
-
-
-# rows of Z that kirchhoff_oracle centres at a time: at order 6000 they
-# take 6 MB, against 288 MB for Z
-_ROWS = 128
 
 
 # ---------------------------------------------------------------------------
@@ -628,11 +625,17 @@ def kirchhoff_oracle(net: Network):
     Exact networks take G = D Y / det from _grounded_adjugate, so the index
     is the one Fraction D (N trace(Y) - sum(Y)) / det; they neither read nor
     fill the cached pseudoinverse, and need no permutation, as a trace and
-    a sum do not depend on the order.  Float ones take N |P Z|_F^2 with
-    P = I - J/N over the cached Z of _inverse_factor, since
-    trace(P Z Z^T P) is that squared norm: each column of Z is centred by
-    its mean over the vertices, _ROWS vertex rows at a time, so no second
-    order-N array is built.
+    a sum do not depend on the order.  Float ones take the same two terms
+    off the cached Z of _inverse_factor, as N (|Z|_F^2 - |Z^T 1 / sqrt N|^2):
+    trace(G) = |Z|_F^2 and 1^T G 1 = |Z^T 1|^2, each a sum of squares, and
+    Z >= 0, so the column sums Z^T 1 add terms of one sign.  By Cauchy and
+    Schwarz the scaled column sums have squared norm at most |Z|_F^2, and
+    |Z|_F^2 = trace(G), the sum of the resistances to the ground, is at most
+    the index, so no term overflows where the index does not.  The one
+    subtraction loses a factor N trace(G) / index of the relative accuracy:
+    at most N, as the index sums over all pairs and trace(G) over the pairs
+    with the ground, and 2 on a prism, or on any graph whose vertices all
+    look alike.
     """
     n = net.order
     if net.is_exact:
@@ -642,12 +645,8 @@ def kirchhoff_oracle(net: Network):
     import numpy as np
 
     z = net._embedding()
-    means = z.mean(axis=0)
-    total = 0.0
-    for start in range(0, n, _ROWS):
-        centred = (z[start:start + _ROWS] - means).ravel()
-        total += float(np.vdot(centred, centred))
-    return _in_range(n * total)
+    sums = z.sum(axis=0) / math.sqrt(n)
+    return _in_range(n * (float(np.vdot(z, z)) - float(np.vdot(sums, sums))))
 
 
 def matrix_tree_count(net: Network):
@@ -802,6 +801,6 @@ def network_from_json(doc: dict) -> Network:
             try:
                 r = Fraction(r)
             except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f'edge #{k}: bad rational {r!r}') from exc
+                raise ValueError(f'edge #{k}: bad rational {reprlib.repr(r)}') from exc
         edges.append((u, v, r))
     return Network(vertices, edges)

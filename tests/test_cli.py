@@ -422,6 +422,19 @@ def test_net_malformed_exits_two(capsys, tmp_path):
     assert error.startswith(f"error: {deep}: not valid JSON")
     assert record.startswith("# command=net elapsed_ms=")
 
+    # 5,001 digits, past the interpreter's limit on int strings: as a JSON
+    # number and as a rational string, each gets one short line naming the
+    # file and the edge
+    huge = tmp_path / "huge.json"
+    digits = "1" + "0" * 5000
+    for r, edge in ((digits, "edge ('a', 'b')"), (f'"{digits}"', "edge #0: bad rational")):
+        huge.write_text('{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "r": %s}]}' % r)
+        code, out, err = run_cli(capsys, "net", "resistance", str(huge), "a", "b")
+        assert (code, out) == (2, ""), edge
+        error, record = err.splitlines()
+        assert error.startswith(f"error: {huge}: {edge}") and len(error) < 200, error
+        assert record.startswith("# command=net elapsed_ms="), edge
+
 
 def test_net_rejects_non_finite_resistance(capsys, tmp_path):
     path = tmp_path / "r.json"
@@ -432,7 +445,7 @@ def test_net_rejects_non_finite_resistance(capsys, tmp_path):
         code, out, err = run_cli(capsys, "net", "resistance", str(path), "a", "b")
         assert (code, out) == (2, ""), r
         error, record = err.splitlines()
-        assert error.startswith("error: edge ('a', 'b')"), r
+        assert error.startswith(f"error: {path}: edge ('a', 'b')"), r
         assert record.startswith("# command=net elapsed_ms="), r
 
 

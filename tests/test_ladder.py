@@ -9,28 +9,26 @@ from prismres.exact import Qsqrt3, SQRT3
 from prismres.ladder import (
     ladder_branch,
     ladder_delta_edges,
-    ladder_params,
     ladder_terminal_resistances,
 )
 from prismres.network import resistance_oracle
 
 
+def _branches(n):
+    return ladder_branch(n, "rung_diag"), ladder_branch(n, "side_rung")
+
+
 def test_params_small_values():
-    p1 = ladder_params(1)
-    assert (p1.rung_diag, p1.side_rung, p1.side_diag) == (Qsqrt3(2), Qsqrt3(0), Qsqrt3(0))
-    p2 = ladder_params(2)
-    assert (p2.rung_diag, p2.side_rung, p2.side_diag) == \
-        (Qsqrt3(1), Qsqrt3(Fraction(1, 2)), Qsqrt3(1))
-    p3 = ladder_params(3)
-    assert (p3.rung_diag, p3.side_rung, p3.side_diag) == \
-        (Qsqrt3(Fraction(4, 5)), Qsqrt3(Fraction(2, 3)), Qsqrt3(2))
+    # side_diag is n - 1: 0, 1 and 2 here
+    assert _branches(1) == (Qsqrt3(2), Qsqrt3(0))
+    assert _branches(2) == (Qsqrt3(1), Qsqrt3(Fraction(1, 2)))
+    assert _branches(3) == (Qsqrt3(Fraction(4, 5)), Qsqrt3(Fraction(2, 3)))
 
 
 def test_params_are_rational_with_integer_side_diag():
     for n in range(1, 51):
-        p = ladder_params(n)
-        assert p.rung_diag.is_rational and p.side_rung.is_rational
-        assert p.side_diag == n - 1
+        rung_diag, side_rung = _branches(n)
+        assert rung_diag.is_rational and side_rung.is_rational
 
 
 def test_params_bracket_their_common_limit():
@@ -38,14 +36,14 @@ def test_params_bracket_their_common_limit():
     # the gap shrinks like (2 - sqrt(3))**n, below binary64 ulp past n ~ 28
     limit = SQRT3 - 1.0
     for n in range(1, 26):
-        hi = float(ladder_params(n).rung_diag)
-        lo = float(ladder_params(n).side_rung)
+        hi = float(ladder_branch(n, "rung_diag"))
+        lo = float(ladder_branch(n, "side_rung"))
         assert lo < limit < hi
-        assert float(ladder_params(n + 1).rung_diag) < hi
-        assert float(ladder_params(n + 1).side_rung) > lo
+        assert float(ladder_branch(n + 1, "rung_diag")) < hi
+        assert float(ladder_branch(n + 1, "side_rung")) > lo
     for n in range(26, 61):
-        assert math.isclose(float(ladder_params(n).rung_diag), limit, rel_tol=1e-14)
-        assert math.isclose(float(ladder_params(n).side_rung), limit, rel_tol=1e-14)
+        assert math.isclose(float(ladder_branch(n, "rung_diag")), limit, rel_tol=1e-14)
+        assert math.isclose(float(ladder_branch(n, "side_rung")), limit, rel_tol=1e-14)
 
 
 def test_params_match_oracle_differences(ladders):
@@ -55,10 +53,10 @@ def test_params_match_oracle_differences(ladders):
         r_rung = resistance_oracle(net, f"p{n}", f"q{n}")
         r_side = resistance_oracle(net, f"p{n}", "p1")
         r_diag = resistance_oracle(net, f"p{n}", "q1")
-        p = ladder_params(n)
-        assert p.rung_diag == r_rung + r_diag - r_side
-        assert p.side_rung == r_rung + r_side - r_diag
-        assert p.side_diag == r_side + r_diag - r_rung
+        rung_diag, side_rung = _branches(n)
+        assert rung_diag == r_rung + r_diag - r_side
+        assert side_rung == r_rung + r_side - r_diag
+        assert n - 1 == r_side + r_diag - r_rung
 
 
 def test_branches_stay_rational_at_large_n():
@@ -112,11 +110,11 @@ def test_delta_edges_small_values():
 def test_delta_edges_reassemble_params():
     # conductances recombine into the pairwise parallel values
     for n in range(2, 41):
-        p = ladder_params(n)
+        rung_diag, side_rung = _branches(n)
         d = ladder_delta_edges(n)
-        assert p.rung_diag.inverse() == d.rung + d.diag
-        assert p.side_rung.inverse() == d.side + d.rung
-        assert p.side_diag.inverse() == d.side + d.diag
+        assert rung_diag.inverse() == d.rung + d.diag
+        assert side_rung.inverse() == d.side + d.rung
+        assert Qsqrt3(n - 1).inverse() == d.side + d.diag
 
 
 def test_delta_edges_are_physical():
@@ -132,15 +130,15 @@ def test_single_rung_has_no_four_corner_reduction():
     with pytest.raises(ValueError):
         ladder_delta_edges(1)
     with pytest.raises(ValueError):
-        ladder_params(0)
+        ladder_branch(0, "side_rung")
 
 
 def test_params_float_agrees_with_direct_formula():
     for n in (1, 2, 5, 20, 45):
         xn = (2.0 - SQRT3) ** n
-        assert math.isclose(float(ladder_params(n).rung_diag),
+        assert math.isclose(float(ladder_branch(n, "rung_diag")),
                             -1.0 - SQRT3 + 2.0 * SQRT3 / (1.0 - xn),
                             rel_tol=1e-12, abs_tol=1e-12)
-        assert math.isclose(float(ladder_params(n).side_rung),
+        assert math.isclose(float(ladder_branch(n, "side_rung")),
                             -1.0 - SQRT3 + 2.0 * SQRT3 / (1.0 + xn),
                             rel_tol=1e-12, abs_tol=1e-12)

@@ -315,7 +315,9 @@ def test_float_queries_hold_one_order_n_array():
     resistance_oracle(warm, "p1", "q2")
     kirchhoff_oracle(warm)
     square = 8 * 800 ** 2  # one float64 array of order 800
-    for query in (lambda net: resistance_oracle(net, "p1", "q200"), kirchhoff_oracle):
+    # both hold Z alone, the Kirchhoff index with one row of column sums
+    for query, bound in ((lambda net: resistance_oracle(net, "p1", "q200"), 2),
+                         (kirchhoff_oracle, 1.25)):
         net = build_prism(400).to_float()
         tracemalloc.start()
         try:
@@ -323,7 +325,7 @@ def test_float_queries_hold_one_order_n_array():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * square, peak / square
+        assert peak <= bound * square, (peak / square, bound)
 
 
 def test_float_resistance_and_kirchhoff_build_no_pseudoinverse(monkeypatch):
@@ -402,6 +404,16 @@ def test_float_answer_past_the_binary64_range_is_singular():
         with pytest.raises(SingularMatrixError, match="binary64 range"):
             kirchhoff_oracle(net)
         assert resistance_oracle(net, "v0", "v1") == 1e308
+
+
+def test_float_kirchhoff_just_inside_the_binary64_range():
+    # Kf = 3e307 + 3e307 + 6e307 = 1.2e308 fits, while N |Z|_F^2, with the
+    # middle vertex grounded, is 3 (3e307 + 3e307) = 1.8e308 and does not
+    net = _path(3e307, 3e307)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kirchhoff_oracle(net)
+    assert abs(got - 1.2e308) <= 1e-15 * 1.2e308
 
 
 # -- resistance and Kirchhoff oracles ------------------------------------
@@ -1080,11 +1092,17 @@ def test_float_oracle_within_its_sum_of_squares_bound():
     # * rounding |d|^2 itself: the difference and the square round each term
     #   by eps relative, and N nonnegative terms sum within N eps/2, so
     #   (N + 2) eps r.  No term cancels, so nothing scales with max |L+|.
-    # The Kirchhoff index N |P Z|_F^2 is the sum of |d|^2 over the pairs, so
-    # the first two terms add up over the pairs.  An error in a column's mean
-    # moves that column's sum of squares only to second order (the exact mean
-    # minimises it), and the N^2 nonnegative squares sum within N^2 eps
-    # relative.
+    # The Kirchhoff index N |Z|_F^2 - |Z^T 1|^2 equals the sum of |d|^2 over
+    # the pairs for any Z, so the first two terms add up over the pairs.  Its
+    # rounding, with u = eps/2, c = N trace(G) / Kf and trace(G) = |Z|_F^2
+    # the sum of g_u^2: Z has at most N(N - 1)/2 nonzeros, and zeros add
+    # exactly, so |Z|_F^2 is within N(N - 1)/2 u relative; each of the N - 1
+    # column sums adds at most N nonnegative terms, so with the scaling by
+    # 1/sqrt N and the squares |Z^T 1|^2 = (c - 1) Kf is within 3N u
+    # relative; the subtraction and the product by N add 2u Kf.  In all,
+    # (c N(N - 1)/2 + 3N(c - 1) + 2) u Kf, which for c <= 2 is at most
+    # (N^2 + 2N + 2) u Kf: within the N eps Kf of the factor terms (kappa
+    # >= 1) and N^2 eps Kf.
     eps = np.finfo(float).eps
     for net in _power_of_two_networks(5, 8):
         size = net.order
@@ -1108,7 +1126,9 @@ def test_float_oracle_within_its_sum_of_squares_bound():
                 got = resistance_oracle(fnet, labels[i], labels[j])
                 assert abs(got - r) <= pair + (size + 2) * eps * r, (size, i, j, got, r)
                 factor_bound += pair
-        want = float(kirchhoff_oracle(net))
+        kf = kirchhoff_oracle(net)
+        assert size * sum(lx[i][i] - 2 * lx[i][k] + lx[k][k] for i in range(size)) <= 2 * kf
+        want = float(kf)
         got = kirchhoff_oracle(fnet)
         assert abs(got - want) <= factor_bound + size ** 2 * eps * want, (size, got, want)
 

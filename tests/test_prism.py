@@ -9,7 +9,7 @@ import pytest
 
 from prismres.exact import Qsqrt3
 from prismres.genfib import gfib, prism_spanning_tree_count
-from prismres.ladder import ladder_delta_edges, ladder_params
+from prismres.ladder import ladder_branch, ladder_delta_edges
 from prismres.network import resistance_oracle
 from prismres.prism import (
     PrismVertex,
@@ -168,7 +168,8 @@ def test_field_route_does_not_call_the_integer_kernel(monkeypatch):
     monkeypatch.setattr("prismres.prism.gfib", refuse)
     monkeypatch.setattr("prismres.genfib.gfib", refuse)
     for n in (1, 2, 5, 13, 40):
-        assert ladder_params(n).side_diag == n - 1
+        for name in ("rung_diag", "side_rung"):
+            assert type(ladder_branch(n, name)) is Qsqrt3, (n, name)
         if n >= 2:
             assert ladder_delta_edges(n).n == n
         for i in range(1, n + 1):
@@ -320,9 +321,9 @@ def test_via_reduction_boundary_is_bare():
     # at i = n the outer arc is two bare rails (same ring) or an open circuit
     lhs = prism_resistance_via_reduction(10, 10, "pp")
     par_flat = 1 / (Fraction(1, 1) + Fraction(1, 9))
-    par_field = (1 + ladder_params(10).side_rung.inverse()).inverse()
+    par_field = (1 + ladder_branch(10, "side_rung").inverse()).inverse()
     assert lhs == ((par_field + par_flat) * Fraction(1, 2)).as_rational()
-    open_outer = (ladder_params(10).rung_diag + par_flat) * Fraction(1, 2)
+    open_outer = (ladder_branch(10, "rung_diag") + par_flat) * Fraction(1, 2)
     assert prism_resistance_via_reduction(10, 10, "pq") == open_outer.as_rational()
 
 
