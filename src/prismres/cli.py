@@ -43,7 +43,7 @@ from .prism import kirchhoff_closed, kirchhoff_float, prism_resistance, resistan
 # Largest n each command serves (verify's --n-max), checked before it does
 # any work.  Each cap costs about 1 GB of peak memory, except those of the
 # exact closed forms, which need little memory but take minutes there, and
-# verify's, which takes about 8 s there on a two-core x86-64 machine: its
+# verify's, which takes about 5.5 s there on a two-core x86-64 machine: its
 # time grows about as n^3.  Float resistance and --method coth run in O(1)
 # and are not capped.
 CAPS = {

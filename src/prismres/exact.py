@@ -182,8 +182,9 @@ class Qsqrt3:
         """Multiplicative inverse conjugate/norm, reduced by one three-way gcd.
 
         1/((p + q sqrt3)/d) = d (p - q sqrt3)/(p^2 - 3 q^2); an integral unit
-        such as 2 - sqrt3 has norm 1 and so keeps d = 1.  A rational element
-        is just d/p, and its gcd is taken on p and d, not on their squares.
+        such as 2 - sqrt3 has norm 1, so it keeps d = 1 and takes no gcd.
+        A rational element is just d/p, and its gcd is taken on p and d, not
+        on their squares.
         """
         p, q, d = self._p, self._q, self._d
         if q == 0 and p:
@@ -195,7 +196,7 @@ class Qsqrt3:
         if norm < 0:
             norm, d = -norm, -d
         p, q = d * p, -d * q
-        g = math.gcd(p, q, norm)
+        g = math.gcd(p, q, norm) if norm > 1 else 1
         return Qsqrt3._of(p // g, q // g, norm // g)
 
     # -- conversions ----------------------------------------------------
@@ -239,10 +240,9 @@ TWO_PLUS_SQRT3 = Qsqrt3(2, 1)
 def two_minus_sqrt3_pow(exponent: int) -> Qsqrt3:
     """(2 - sqrt3)^exponent, exactly.
 
-    2 - sqrt3 is a unit (norm 1), so negative exponents are powers of its
-    inverse 2 + sqrt3; either way every step is an integer product with
-    d = 1 and no gcd, and the components grow linearly in digit count.
+    2 - sqrt3 is a unit (norm 1), so a negative exponent raises its inverse,
+    2 + sqrt3 with d = 1, as Qsqrt3.__pow__ does for any element; either
+    way every step is an integer product with d = 1 and no gcd, and the
+    components grow linearly in digit count.
     """
-    if exponent < 0:
-        return TWO_PLUS_SQRT3 ** -exponent
     return TWO_MINUS_SQRT3 ** exponent

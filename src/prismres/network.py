@@ -249,6 +249,11 @@ def _binary64(r) -> float:
         return math.inf if r > 0 else -math.inf
 
 
+def _edge(u, v) -> str:
+    """An edge as error messages name it, each label clipped by reprlib."""
+    return f"edge ({reprlib.repr(u)}, {reprlib.repr(v)})"
+
+
 def _require_connected(net: Network) -> None:
     if len(set(_components(net))) > 1:
         raise DisconnectedNetworkError("network is disconnected")
@@ -497,12 +502,13 @@ class Network:
         indexed = []
         for u, v, r in triples:
             if u not in self._index or v not in self._index:
-                raise ValueError(f"edge ({u!r}, {v!r}) references an unknown vertex")
+                raise ValueError(f"{_edge(u, v)} references an unknown vertex")
             r = Fraction(r) if self._exact else _binary64(r)
-            if not r > 0:
-                raise ValueError(f"edge ({u!r}, {v!r}) must have positive resistance, got {r}")
+            if not r > 0:  # str(r), clipped by reprlib, without the quotes it adds
+                raise ValueError(f"{_edge(u, v)} must have positive resistance, "
+                                 f"got {reprlib.repr(str(r))[1:-1]}")
             if not self._exact and not (math.isfinite(r) and math.isfinite(1.0 / r)):
-                raise ValueError(f"edge ({u!r}, {v!r}) must have a finite resistance "
+                raise ValueError(f"{_edge(u, v)} must have a finite resistance "
                                  f"and a finite conductance, got r = {r}")
             indexed.append((self._index[u], self._index[v], r))
         self._edges = tuple(indexed)
@@ -534,7 +540,7 @@ class Network:
         try:
             return self._index[label]
         except KeyError:
-            raise ValueError(f"unknown vertex {label!r}") from None
+            raise ValueError(f"unknown vertex {reprlib.repr(label)}") from None
 
     def __repr__(self) -> str:
         mode = "exact" if self._exact else "float"

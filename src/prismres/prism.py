@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+import reprlib
 from collections import namedtuple
 from fractions import Fraction
 
@@ -50,7 +51,7 @@ class PrismVertex(namedtuple("PrismVertex", "ring pos")):
     def parse(cls, label: str) -> "PrismVertex":
         m = _VERTEX_RE.fullmatch(label)
         if m is None:
-            raise ValueError(f"bad vertex label {label!r}; expected e.g. 'p3' or 'q12'")
+            raise ValueError(f"bad vertex label {reprlib.repr(label)}; expected e.g. 'p3' or 'q12'")
         return cls(m.group(1), int(m.group(2)))
 
     @property
@@ -168,8 +169,9 @@ def prism_resistance(n: int, u: "PrismVertex | str", v: "PrismVertex | str",
     v = _as_vertex(v)
     _check_n(n)
     for w in (u, v):
-        if w.pos > n:
-            raise ValueError(f"vertex {w.label} does not exist on the {n}-prism")
+        if w.pos > n:  # the label clipped by reprlib, without the quotes it adds
+            raise ValueError(f"vertex {reprlib.repr(w.label)[1:-1]} "
+                             f"does not exist on the {n}-prism")
     l = min((v.pos - u.pos) % n, (u.pos - v.pos) % n)
     kind = "pp" if u.ring == v.ring else "pq"
     if mode == "float":

@@ -311,14 +311,14 @@ def run_checks(n_max: int = 10, tol: float = 1e-9) -> list[CheckResult]:
             for net in (prisms[n], ladders[n]):
                 lap = net.laplacian().tolist()
                 pinv = net.pseudoinverse()
-                # L L+ L through the nonzeros of each row of the sparse,
-                # symmetric L
-                near = [[(k, x) for k, x in enumerate(row) if x] for row in lap]
-                left = [[sum(col) for col in zip(*[[x * y for y in pinv[k]] for k, x in terms])]
-                        for terms in near]
-                if any(sum(row[k] * x for k, x in terms) != want
-                       for row, wants in zip(left, lap) for terms, want in zip(near, wants)):
-                    raise _Counterexample(f"{net!r}: L L+ L != L")
+                # L L+ = I - J/N through the nonzeros of each row of the
+                # sparse L: on a connected network with L+ 1 = 0 (checked
+                # next), it holds exactly when L L+ L = L does, for any L+
+                projector = np.eye(net.order, dtype=object) - Fraction(1, net.order)
+                for row, want in zip(lap, projector.tolist()):
+                    scaled = [[x * y for y in pinv[k]] for k, x in enumerate(row) if x]
+                    if [sum(col) for col in zip(*scaled)] != want:
+                        raise _Counterexample(f"{net!r}: L L+ != I - J/N")
                 if any(sum(row) != 0 for row in pinv):
                     raise _Counterexample(f"{net!r}: pseudoinverse row sums nonzero")
         return f"Penrose identities exact for n <= {n_max}"

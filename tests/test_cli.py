@@ -453,6 +453,29 @@ def test_net_reduce_unknown_keep(capsys, triangle_file):
     assert run_cli(capsys, "net", "reduce", triangle_file, "--keep", "a,zzz")[0] == 2
 
 
+_LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("edge, argv", [
+    ({"u": "a", "v": "b", "r": 1}, ["net", "resistance", "FILE", "a", _LONG]),
+    (None, ["resistance", "5", _LONG, "p1"]),
+    (None, ["resistance", "5", "p" + "1" * 4000, "p1"]),
+    ({"u": "a", "v": _LONG, "r": 1}, ["net", "kirchhoff", "FILE"]),
+    ({"u": "a", "v": "b", "r": 1}, ["net", "reduce", "FILE", "--keep", f"a,{_LONG}"]),
+    ({"u": "a", "v": "b", "r": "-1" + "0" * 4000}, ["net", "kirchhoff", "FILE"]),
+], ids=["net-resistance-label", "prism-label", "prism-position", "edge-label", "reduce-keep-label",
+        "nonpositive-resistance"])
+def test_long_labels_and_values_are_clipped_in_errors(capsys, tmp_path, edge, argv):
+    path = tmp_path / "net.json"
+    if edge is not None:
+        path.write_text(json.dumps({"vertices": ["a", "b"], "edges": [edge]}))
+    code, out, err = run_cli(capsys, *[str(path) if arg == "FILE" else arg for arg in argv])
+    assert (code, out) == (2, "")
+    error, record = err.splitlines()
+    assert error.startswith("error: ") and record.startswith("# command=")
+    assert len(err.encode()) < 400, err[:200]
+
+
 # -- parser-level behavior ----------------------------------------------------
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import prismres
 from prismres import prism, verify
+from prismres.network import Network, build_ladder, build_prism
 from prismres.verify import run_checks
 
 SOURCE = Path(prismres.__file__).parent
@@ -165,7 +166,8 @@ _BREAKS = [
     ("trig-identities", "csc2_sum_check", lambda fn: lambda n, rel_tol: False, "csc^2"),
     ("eight-terminal-stencil", "EightTerminalStencil.laplacian", _plus_one_at_the_corner,
      "n=4 i=3: stencil Laplacian differs"),
-    ("pseudoinverse-contract", "Network.pseudoinverse", _plus_one_at_the_corner, "L L+ L != L"),
+    ("pseudoinverse-contract", "Network.pseudoinverse", _plus_one_at_the_corner,
+     "L L+ != I - J/N"),
 ]
 
 
@@ -182,3 +184,45 @@ def test_every_check_reports_a_counterexample(monkeypatch, name, target, perturb
     result = results[name]
     assert not result.passed
     assert fragment in result.detail and not result.detail.startswith("crashed"), result.detail
+
+
+def _penrose_holds(net, pinv) -> bool:
+    """L L+ L == L and L+ 1 == 0, as dense products of Fractions."""
+    lap = net.laplacian().tolist()
+
+    def times(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    return times(times(lap, pinv), lap) == lap and all(sum(row) == 0 for row in pinv)
+
+
+def _row_plus_a_constant(pinv):
+    """L+ with 1/7 added along one row: L L+ L is still L, as 1^T L = 0, but L L+ is not P."""
+    rows = [list(row) for row in pinv]
+    rows[1] = [x + Fraction(1, 7) for x in rows[1]]
+    return rows
+
+
+def _antisymmetric_three_cycle(pinv):
+    """L+ plus a skew 3-cycle, whose rows and columns each sum to zero."""
+    rows = [list(row) for row in pinv]
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        rows[i][j] += Fraction(1, 7)
+        rows[j][i] -= Fraction(1, 7)
+    return rows
+
+
+@pytest.mark.parametrize("perturb", [None, _row_plus_a_constant, _antisymmetric_three_cycle],
+                         ids=["exact", "row-plus-a-constant", "antisymmetric-three-cycle"])
+def test_the_contract_check_agrees_with_dense_penrose_conditions(monkeypatch, perturb):
+    exact = Network.pseudoinverse
+    for build in (build_prism, build_ladder):
+        for n in range(2, 6):
+            target = build(n)
+            pinv = exact(target) if perturb is None else perturb(exact(target))
+            monkeypatch.setattr(Network, "pseudoinverse", lambda net: (
+                pinv if list(net.edges) == list(target.edges) else exact(net)))
+            verdict = next(r.passed for r in run_checks(n_max=n)
+                           if r.name == "pseudoinverse-contract")
+            monkeypatch.undo()
+            assert verdict == _penrose_holds(target, pinv) == (perturb is None), (build, n)
