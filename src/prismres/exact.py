@@ -5,7 +5,9 @@ computes the provably rational quantities here and certifies them rational
 before they escape, so no precision is lost; it is the independent check of
 the integer kernel (genfib.gfib) that the served closed forms use.  A field
 element is held as three ints (p + q sqrt3)/d, not two Fractions, so only an
-inversion pays for a gcd.
+inversion pays for a gcd.  The field route's one recurring denominator,
+1 +- (2 - sqrt3)^n, is inverted without one: _recip_one_plus_x_pow factors it
+as a power of the unit at half the exponent times an integer and a fixed surd.
 """
 
 from __future__ import annotations
@@ -246,3 +248,30 @@ def two_minus_sqrt3_pow(exponent: int) -> Qsqrt3:
     components grow linearly in digit count.
     """
     return TWO_MINUS_SQRT3 ** exponent
+
+
+def _recip_one_plus_x_pow(n: int, s: int) -> Qsqrt3:
+    """1/(1 + s x^n) with x = 2 - sqrt3, n >= 1 and s = +-1, without its norm or a gcd.
+
+    Write 1 + s x^n = x^j c with j = n // 2 and c = x^-j + s x^(n-j).  With
+    x^-j = u_j + a_j sqrt3, its conjugate is x^j = u_j - a_j sqrt3, and
+    x^-(j+1) = (2 + sqrt3) x^-j gives u_(j+1) = 2 u_j + 3 a_j and
+    a_(j+1) = u_j + 2 a_j.  So for n = 2j, c = 2 u_j (s = 1) or
+    2 sqrt3 a_j (s = -1), and for n = 2j + 1, x^(n-j) = x^(j+1) and
+    c = (u_j + a_j)(3 - sqrt3) (s = 1) or (u_j + 3 a_j)(sqrt3 - 1) (s = -1).
+    Each c is an integer times a fixed surd, so
+
+        1/(1 + s x^n) = x^-j / c = x^-j * 1/(2 u_j),  sqrt3/(6 a_j),
+                        (3 + sqrt3)/(6 (u_j + a_j))  or  (1 + sqrt3)/(2 (u_j + 3 a_j)),
+
+    one power at half the exponent and one product, left unreduced.  The
+    integers u_j, a_j, u_j + a_j and u_j + 3 a_j are positive for n >= 1.
+    """
+    j, odd = divmod(n, 2)
+    w = two_minus_sqrt3_pow(-j)
+    u, a = w._p, w._q
+    if not odd:
+        p, q, d = (1, 0, 2 * u) if s > 0 else (0, 1, 6 * a)
+    else:
+        p, q, d = (3, 1, 6 * (u + a)) if s > 0 else (1, 1, 2 * (u + 3 * a))
+    return w * Qsqrt3._of(p, q, d)

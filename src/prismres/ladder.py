@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import Qsqrt3, two_minus_sqrt3_pow
+from .exact import Qsqrt3, _recip_one_plus_x_pow
 
 _HEAD = Qsqrt3(-1, -1)
 _TWO_SQRT3 = Qsqrt3(0, 2)
@@ -33,14 +33,15 @@ def ladder_branch(n: int, name: str) -> Qsqrt3:
         rung_diag = -1 - sqrt3 + 2 sqrt3 / (1 - x^n)
         side_rung = -1 - sqrt3 + 2 sqrt3 / (1 + x^n)
 
-    Each costs one inversion in Q(sqrt 3), so a caller that needs one entry
-    does not pay for the other.
+    Each inverts 1 +- x^n by _recip_one_plus_x_pow, from one power of x at
+    half the exponent and with no gcd, so a caller that needs one entry does
+    not pay for the other.
     """
     if n < 1:
         raise ValueError(f"ladder must have at least one rung, got n={n}")
     if name not in _BRANCH_SIGNS:
         raise ValueError(f"branch must be one of {tuple(_BRANCH_SIGNS)}, got {name!r}")
-    return _HEAD + _TWO_SQRT3 / (1 + _BRANCH_SIGNS[name] * two_minus_sqrt3_pow(n))
+    return _HEAD + _TWO_SQRT3 * _recip_one_plus_x_pow(n, _BRANCH_SIGNS[name])
 
 
 def ladder_terminal_resistances(n: int) -> tuple[Qsqrt3, Qsqrt3, Qsqrt3]:

@@ -25,7 +25,7 @@ import reprlib
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import Qsqrt3, SQRT3, two_minus_sqrt3_pow
+from .exact import Qsqrt3, SQRT3, _recip_one_plus_x_pow, two_minus_sqrt3_pow
 from .genfib import _check_n, gfib
 from .ladder import ladder_branch
 
@@ -52,7 +52,12 @@ class PrismVertex(namedtuple("PrismVertex", "ring pos")):
         m = _VERTEX_RE.fullmatch(label)
         if m is None:
             raise ValueError(f"bad vertex label {reprlib.repr(label)}; expected e.g. 'p3' or 'q12'")
-        return cls(m.group(1), int(m.group(2)))
+        try:
+            pos = int(m.group(2))
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            raise ValueError(f"bad vertex label {reprlib.repr(label)}; "
+                             f"its position has too many digits") from None
+        return cls(m.group(1), pos)
 
     @property
     def label(self) -> str:
@@ -76,8 +81,9 @@ def prism_resistance_base(n: int, i: int, kind: str) -> Fraction:
 
     minus for "pp", plus for "pq".  It is evaluated in Q(sqrt 3) from powers
     of x alone, so it never calls the integer kernel it checks, with
-    x^n = x^m x^l since m + l = n; the sqrt(3) component is certified to
-    cancel and the result is a Fraction.
+    x^n = x^m x^l since m + l = n and 1/(2 sqrt3) = sqrt3/6; 1/(1 - x^n)
+    comes from _recip_one_plus_x_pow, with no gcd.  The sqrt(3) component is
+    certified to cancel and the result is a Fraction.
     """
     _check_args(n, i, kind)
     m, l = n - i + 1, i - 1
@@ -86,7 +92,8 @@ def prism_resistance_base(n: int, i: int, kind: str) -> Fraction:
     tail = xm + xl
     if kind == "pp":
         tail = -tail
-    total = (1 + xn + tail) / (2 * Qsqrt3(0, 1) * (1 - xn)) + Fraction(m * l, 2 * n)
+    field = (1 + xn + tail) * _recip_one_plus_x_pow(n, -1) * Qsqrt3(0, Fraction(1, 6))
+    total = field + Fraction(m * l, 2 * n)
     if not total.is_rational:
         raise ArithmeticError(f"sqrt(3) component failed to cancel for n={n}, i={i}, {kind}")
     return total.as_rational()
@@ -190,11 +197,11 @@ def prism_pair_sum(n: int, i: int) -> Fraction:
     """r(p1, p_i) + r(p1, q_i): the cross terms cancel, leaving one power of x.
 
     Exact closed form sqrt3/3 * (1 + x^n)/(1 - x^n) + (n-i+1)(i-1)/n with
-    x = 2 - sqrt3, certified rational.
+    x = 2 - sqrt3, certified rational.  The ratio is 2/(1 - x^n) - 1, from
+    _recip_one_plus_x_pow with no gcd.
     """
     _check_args(n, i, "pp")
-    xn = two_minus_sqrt3_pow(n)
-    core = Qsqrt3(0, Fraction(1, 3)) * (1 + xn) / (1 - xn)
+    core = Qsqrt3(0, Fraction(1, 3)) * (2 * _recip_one_plus_x_pow(n, -1) - 1)
     total = core + Fraction((n - i + 1) * (i - 1), n)
     if not total.is_rational:
         raise ArithmeticError(f"sqrt(3) component failed to cancel for pair sum n={n}, i={i}")
@@ -210,8 +217,9 @@ def prism_resistance_via_reduction(n: int, i: int, kind: str) -> Fraction:
     combine to (n - i + 1)(i - 1)/n.  The field part of each is one
     ladder_branch, side_rung for same-ring targets and rung_diag for
     cross-ring ones: R_i of the i-rung ladder, and R_o = 2 + that of the
-    (n - i)-rung ladder.  They combine as one parallel resistance
-    R_o R_i/(R_o + R_i), one inversion in Q(sqrt 3).  At i = n the outer arc
+    (n - i)-rung ladder.  Each branch inverts 1 +- x^k at half the exponent
+    with no gcd (_recip_one_plus_x_pow), so the only inversion in Q(sqrt 3)
+    is the one parallel resistance R_o R_i/(R_o + R_i).  At i = n the outer arc
     is a bare unit path for same-ring targets, R_o = 1, and an open circuit
     for cross-ring ones, which leaves R_i.  Neither the arcs nor the sum
     touch the integer kernel, and the sqrt(3) component is certified to

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import reprlib
 import subprocess
 import sys
 import time
@@ -460,11 +461,13 @@ _LONG = "x" * 5000
     ({"u": "a", "v": "b", "r": 1}, ["net", "resistance", "FILE", "a", _LONG]),
     (None, ["resistance", "5", _LONG, "p1"]),
     (None, ["resistance", "5", "p" + "1" * 4000, "p1"]),
+    # past the 4300 digits that int() reads from a string by default
+    (None, ["resistance", "5", "p" + "1" * 5000, "p1"]),
     ({"u": "a", "v": _LONG, "r": 1}, ["net", "kirchhoff", "FILE"]),
     ({"u": "a", "v": "b", "r": 1}, ["net", "reduce", "FILE", "--keep", f"a,{_LONG}"]),
     ({"u": "a", "v": "b", "r": "-1" + "0" * 4000}, ["net", "kirchhoff", "FILE"]),
-], ids=["net-resistance-label", "prism-label", "prism-position", "edge-label", "reduce-keep-label",
-        "nonpositive-resistance"])
+], ids=["net-resistance-label", "prism-label", "prism-position", "prism-position-past-int-limit",
+        "edge-label", "reduce-keep-label", "nonpositive-resistance"])
 def test_long_labels_and_values_are_clipped_in_errors(capsys, tmp_path, edge, argv):
     path = tmp_path / "net.json"
     if edge is not None:
@@ -474,6 +477,9 @@ def test_long_labels_and_values_are_clipped_in_errors(capsys, tmp_path, edge, ar
     error, record = err.splitlines()
     assert error.startswith("error: ") and record.startswith("# command=")
     assert len(err.encode()) < 400, err[:200]
+    assert "set_int_max_str_digits" not in err, error
+    if argv[0] == "resistance":  # the prism label, clipped, without the quotes reprlib adds
+        assert reprlib.repr(argv[2])[1:-1] in error, error
 
 
 # -- parser-level behavior ----------------------------------------------------

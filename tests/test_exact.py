@@ -11,8 +11,10 @@ from prismres.exact import (
     Qsqrt3,
     TWO_MINUS_SQRT3,
     TWO_PLUS_SQRT3,
+    _recip_one_plus_x_pow,
     two_minus_sqrt3_pow,
 )
+from prismres.ladder import ladder_branch
 
 
 def test_structural_equality_and_hash():
@@ -294,3 +296,23 @@ def test_unit_powers_never_take_a_gcd(monkeypatch):
         got = {k: two_minus_sqrt3_pow(k) for k in range(-70, 71)}
         same = all(got[k] == want[k] for k in got)
     assert same
+
+
+def test_recip_one_plus_x_pow_is_the_inverse():
+    for n in range(1, 401):
+        for s in (1, -1):
+            assert _recip_one_plus_x_pow(n, s) == 1 / (1 + s * two_minus_sqrt3_pow(n)), (n, s)
+
+
+def test_recip_one_plus_x_pow_and_ladder_branches_never_take_a_gcd(monkeypatch):
+    # a full-exponent inversion reduces by one gcd, so it would trip this
+    def refuse(*args):
+        raise AssertionError("gcd taken")
+
+    with monkeypatch.context() as m:
+        m.setattr(math, "gcd", refuse)
+        got = {(n, s): _recip_one_plus_x_pow(n, s) for n in range(1, 301) for s in (1, -1)}
+        branches = {(n, name): ladder_branch(n, name)
+                    for n in (1, 2, 3, 40, 301) for name in ("rung_diag", "side_rung")}
+    assert all(got[n, s] * (1 + s * two_minus_sqrt3_pow(n)) == 1 for n, s in got)
+    assert all(type(b) is Qsqrt3 for b in branches.values())

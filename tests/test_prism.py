@@ -12,6 +12,7 @@ from prismres.genfib import gfib, prism_spanning_tree_count
 from prismres.ladder import ladder_branch, ladder_delta_edges
 from prismres.network import resistance_oracle
 from prismres.prism import (
+    KINDS,
     PrismVertex,
     _float_base,
     csc2_sum_check,
@@ -203,14 +204,17 @@ def test_integer_route_does_not_use_the_field(monkeypatch):
     assert integer_route() == want
 
 
-@pytest.mark.parametrize("n", [1000, 4097])
+# 1999 .. 2002 take both parities of n and of every ladder arc, the four
+# cases of the half-exponent inverse 1/(1 +- x^n)
+@pytest.mark.parametrize("n", [1000, 1999, 2000, 2001, 2002, 4097])
 def test_field_route_equals_integer_route_at_large_n(n):
     # big enough for the unreduced field elements to carry thousands of bits
-    for i in (2, n // 3, n // 2 + 1, n):
-        for kind, other in (("pp", f"p{i}"), ("pq", f"q{i}")):
-            want = prism_resistance(n, "p1", other)
-            assert prism_resistance_base(n, i, kind) == want, (n, i, kind)
-            assert prism_resistance_via_reduction(n, i, kind) == want, (n, i, kind)
+    for i in (2, 3, n // 3, n // 2, n // 2 + 1, n):
+        want = {kind: prism_resistance(n, "p1", f"{kind[1]}{i}") for kind in KINDS}
+        for kind in KINDS:
+            assert prism_resistance_base(n, i, kind) == want[kind], (n, i, kind)
+            assert prism_resistance_via_reduction(n, i, kind) == want[kind], (n, i, kind)
+        assert prism_pair_sum(n, i) == want["pp"] + want["pq"], (n, i)
 
 
 def test_kirchhoff_and_trig_sum_equal_the_a2n_forms():
