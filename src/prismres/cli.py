@@ -42,10 +42,11 @@ from .prism import kirchhoff_closed, kirchhoff_float, prism_resistance, resistan
 
 # Largest n each command serves (verify's --n-max), checked before it does
 # any work.  Each cap costs about 1 GB of peak memory, except those of the
-# exact closed forms, which need little memory but take minutes there, and
-# verify's, which takes about 5.5 s there on a two-core x86-64 machine: its
-# time grows about as n^3.  Float resistance and --method coth run in O(1)
-# and are not capped.
+# exact closed forms and verify's, which need little memory.  On a two-core
+# x86-64 machine the exact kirchhoff takes about 12 s at its cap and an exact
+# resistance about 2 minutes, its full gcd being quadratic; verify takes
+# about 5.5 s at its cap, and its time grows about as n^3.  Float resistance
+# and --method coth run in O(1) and are not capped.
 CAPS = {
     "resistance": 10 ** 7,
     "kirchhoff --method closed": 10 ** 7,

@@ -6,8 +6,9 @@ before they escape, so no precision is lost; it is the independent check of
 the integer kernel (genfib.gfib) that the served closed forms use.  A field
 element is held as three ints (p + q sqrt3)/d, not two Fractions, so only an
 inversion pays for a gcd.  The field route's one recurring denominator,
-1 +- (2 - sqrt3)^n, is inverted without one: _recip_one_plus_x_pow factors it
-as a power of the unit at half the exponent times an integer and a fixed surd.
+1 +- (2 - sqrt3)^n, is never inverted in the field: _split_one_plus_x_pow
+factors it as a power of the unit at half the exponent times an integer and
+a fixed surd, and _over divides by such a product with no gcd.
 """
 
 from __future__ import annotations
@@ -242,36 +243,61 @@ TWO_PLUS_SQRT3 = Qsqrt3(2, 1)
 def two_minus_sqrt3_pow(exponent: int) -> Qsqrt3:
     """(2 - sqrt3)^exponent, exactly.
 
-    2 - sqrt3 is a unit (norm 1), so a negative exponent raises its inverse,
-    2 + sqrt3 with d = 1, as Qsqrt3.__pow__ does for any element; either
-    way every step is an integer product with d = 1 and no gcd, and the
-    components grow linearly in digit count.
+    2 - sqrt3 is a unit (norm 1), so a negative exponent raises the constant
+    2 + sqrt3 instead, with no inversion; either way every step is an
+    integer product with d = 1 and no gcd, and the components grow linearly
+    in digit count.
     """
+    if exponent < 0:
+        return TWO_PLUS_SQRT3 ** -exponent
     return TWO_MINUS_SQRT3 ** exponent
+
+
+# the fixed surd tau of 1 + s x^n = x^j c tau, by (n % 2, s)
+_SURDS = {(0, 1): Qsqrt3._of(1, 0, 1), (0, -1): Qsqrt3._of(0, 1, 1),
+          (1, 1): Qsqrt3._of(3, -1, 1), (1, -1): Qsqrt3._of(-1, 1, 1)}
+
+
+def _split_one_plus_x_pow(n: int, s: int) -> tuple[Qsqrt3, int, Qsqrt3]:
+    """(x^-j, c, tau) with 1 + s x^n = x^j c tau, x = 2 - sqrt3, j = n // 2 and s = +-1.
+
+    Write 1 + s x^n = x^j (x^-j + s x^(n-j)).  With x^-j = u_j + a_j sqrt3,
+    its conjugate is x^j = u_j - a_j sqrt3, and x^-(j+1) = (2 + sqrt3) x^-j
+    gives u_(j+1) = 2 u_j + 3 a_j and a_(j+1) = u_j + 2 a_j.  So for n = 2j
+    the bracket is 2 u_j (s = 1) or 2 a_j sqrt3 (s = -1), and for
+    n = 2j + 1, where x^(n-j) = x^(j+1), it is (u_j + a_j)(3 - sqrt3) (s = 1)
+    or (u_j + 3 a_j)(sqrt3 - 1) (s = -1): an integer c times the fixed surd
+    tau = 1, sqrt3, 3 - sqrt3 or sqrt3 - 1, from one power at half the
+    exponent.  c > 0 for n >= 1, and for n = 0 with s = 1, where c = 2.
+    """
+    j, odd = divmod(n, 2)
+    w = two_minus_sqrt3_pow(-j)
+    u, a = w._p, w._q
+    if odd:
+        c = u + a if s > 0 else u + 3 * a
+    else:
+        c = 2 * u if s > 0 else 2 * a
+    return w, c, _SURDS[odd, s]
+
+
+def _over(z: Qsqrt3, c: int, tau: Qsqrt3) -> Qsqrt3:
+    """z/(c tau) for an int c > 0 and an integral tau != 0, with no inversion or gcd.
+
+    1/tau = conj(tau)/norm(tau), with the sign of the norm moved to the
+    numerator; the result is left unreduced.
+    """
+    p, q = tau._p, tau._q
+    norm = p * p - 3 * q * q
+    if norm < 0:
+        norm, p, q = -norm, -p, -q
+    return z * Qsqrt3._of(p, -q, c * norm)
 
 
 def _recip_one_plus_x_pow(n: int, s: int) -> Qsqrt3:
     """1/(1 + s x^n) with x = 2 - sqrt3, n >= 1 and s = +-1, without its norm or a gcd.
 
-    Write 1 + s x^n = x^j c with j = n // 2 and c = x^-j + s x^(n-j).  With
-    x^-j = u_j + a_j sqrt3, its conjugate is x^j = u_j - a_j sqrt3, and
-    x^-(j+1) = (2 + sqrt3) x^-j gives u_(j+1) = 2 u_j + 3 a_j and
-    a_(j+1) = u_j + 2 a_j.  So for n = 2j, c = 2 u_j (s = 1) or
-    2 sqrt3 a_j (s = -1), and for n = 2j + 1, x^(n-j) = x^(j+1) and
-    c = (u_j + a_j)(3 - sqrt3) (s = 1) or (u_j + 3 a_j)(sqrt3 - 1) (s = -1).
-    Each c is an integer times a fixed surd, so
-
-        1/(1 + s x^n) = x^-j / c = x^-j * 1/(2 u_j),  sqrt3/(6 a_j),
-                        (3 + sqrt3)/(6 (u_j + a_j))  or  (1 + sqrt3)/(2 (u_j + 3 a_j)),
-
-    one power at half the exponent and one product, left unreduced.  The
-    integers u_j, a_j, u_j + a_j and u_j + 3 a_j are positive for n >= 1.
+    It is x^-j/(c tau) from _split_one_plus_x_pow: one power at half the
+    exponent and one product by (1, sqrt3/3, (3 + sqrt3)/6 or
+    (1 + sqrt3)/2)/c, left unreduced.
     """
-    j, odd = divmod(n, 2)
-    w = two_minus_sqrt3_pow(-j)
-    u, a = w._p, w._q
-    if not odd:
-        p, q, d = (1, 0, 2 * u) if s > 0 else (0, 1, 6 * a)
-    else:
-        p, q, d = (3, 1, 6 * (u + a)) if s > 0 else (1, 1, 2 * (u + 3 * a))
-    return w * Qsqrt3._of(p, q, d)
+    return _over(*_split_one_plus_x_pow(n, s))

@@ -12,13 +12,26 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import Qsqrt3, _recip_one_plus_x_pow
+from .exact import TWO_MINUS_SQRT3, Qsqrt3, _over, _split_one_plus_x_pow
 
 _HEAD = Qsqrt3(-1, -1)
 _TWO_SQRT3 = Qsqrt3(0, 2)
 # the sign of x^n in the denominator of each branch
 _BRANCH_SIGNS = {"rung_diag": -1, "side_rung": 1}
 _HALF = Fraction(1, 2)
+_HALF_ROOT = Qsqrt3(_HALF, _HALF)  # (1 + sqrt3)/2
+
+
+def _branch_parts(n: int, name: str) -> tuple[Qsqrt3, int, Qsqrt3]:
+    """(A, c, tau) with ladder_branch(n, name) = A/(c tau), unchecked, n >= 0.
+
+    With 1 + s x^n = x^j c tau from _split_one_plus_x_pow and
+    x^-j = u_j + a_j sqrt3, A = (-1 - sqrt3) c tau + 2 sqrt3 x^-j is an
+    integral element of about 0.95 n bits, and c an int.  n = 0 is the
+    limit of no rungs: side_rung gives -1, rung_diag has c = 0.
+    """
+    w, c, tau = _split_one_plus_x_pow(n, _BRANCH_SIGNS[name])
+    return _HEAD * c * tau + _TWO_SQRT3 * w, c, tau
 
 
 def ladder_branch(n: int, name: str) -> Qsqrt3:
@@ -33,15 +46,25 @@ def ladder_branch(n: int, name: str) -> Qsqrt3:
         rung_diag = -1 - sqrt3 + 2 sqrt3 / (1 - x^n)
         side_rung = -1 - sqrt3 + 2 sqrt3 / (1 + x^n)
 
-    Each inverts 1 +- x^n by _recip_one_plus_x_pow, from one power of x at
-    half the exponent and with no gcd, so a caller that needs one entry does
-    not pay for the other.
+    Each is A/(c tau) over one power of x at half the exponent
+    (_branch_parts), divided out with no inversion or gcd, so a caller that
+    needs one entry does not pay for the other.
     """
     if n < 1:
         raise ValueError(f"ladder must have at least one rung, got n={n}")
     if name not in _BRANCH_SIGNS:
         raise ValueError(f"branch must be one of {tuple(_BRANCH_SIGNS)}, got {name!r}")
-    return _HEAD + _TWO_SQRT3 * _recip_one_plus_x_pow(n, _BRANCH_SIGNS[name])
+    return _over(*_branch_parts(n, name))
+
+
+def _conductance(n: int, name: str) -> Qsqrt3:
+    """1/ladder_branch(n, name) for n >= 2, as ladder_delta_edges derives it."""
+    s = _BRANCH_SIGNS[name]
+    _, c_n, t_n = _split_one_plus_x_pow(n, s)
+    _, c, t = _split_one_plus_x_pow(n - 1, -s)
+    if n % 2 == 0:
+        t_n = t_n * TWO_MINUS_SQRT3
+    return _over(c_n * t_n * _HALF_ROOT, c, t)
 
 
 def ladder_terminal_resistances(n: int) -> tuple[Qsqrt3, Qsqrt3, Qsqrt3]:
@@ -78,16 +101,26 @@ def ladder_delta_edges(n: int) -> DeltaEdges:
     Inverts the three pairwise-parallel relations of ladder_branch, with
     side_diag = n - 1:
     1/rung = (1/rung_diag + 1/side_rung - 1/side_diag) / 2 and cyclically.
+    The branch conductances need no inversion: since
+    (1 + sqrt3) x = sqrt3 - 1, with x = 2 - sqrt3,
+
+        1/rung_diag = (1 - x^n) (1 + sqrt3)/2 / (1 + x^(n-1))
+        1/side_rung = (1 + x^n) (1 + sqrt3)/2 / (1 - x^(n-1)),
+
+    and with 1 +- x^k = x^(k//2) c tau (_split_one_plus_x_pow) each is
+    c_n tau_n x^e (1 + sqrt3)/2 / (c_(n-1) tau_(n-1)), e = n//2 - (n-1)//2,
+    an integral element over an int of about 0.95 n bits each (_conductance).
     n = 1 has only two distinct corners, so there is no four-corner reduction.
     """
     if n < 2:
         raise ValueError(f"four distinct corners require n >= 2, got n={n}")
-    inv_rd = ladder_branch(n, "rung_diag").inverse()
-    inv_sr = ladder_branch(n, "side_rung").inverse()
+    inv_rd = _conductance(n, "rung_diag")
+    inv_sr = _conductance(n, "side_rung")
     inv_sd = Fraction(1, n - 1)
+    both, gap = inv_rd + inv_sr, inv_sr - inv_rd  # the two sums of big denominators
     return DeltaEdges(
         n=n,
-        side=(inv_sr + inv_sd - inv_rd) * _HALF,
-        rung=(inv_rd + inv_sr - inv_sd) * _HALF,
-        diag=(inv_rd + inv_sd - inv_sr) * _HALF,
+        side=(gap + inv_sd) * _HALF,
+        rung=(both - inv_sd) * _HALF,
+        diag=(inv_sd - gap) * _HALF,
     )

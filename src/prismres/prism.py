@@ -9,10 +9,12 @@ at half the exponent: every form shares the ratio a_n/(u_n - 1), which is
 u_k/(3 a_k) for n = 2k and (a_{k+1} - a_k)/(a_{k+1} + a_k) for n = 2k + 1, in
 lowest terms by the unit norm u_k^2 - 3 a_k^2 = 1.  So no sequence term past
 k + 1 = n // 2 + 1 is needed, and each value is one Fraction over a common
-denominator of about n bits, reduced by one gcd.  The field route
+denominator of about n bits, reduced by one gcd; the Kirchhoff index and the
+trigonometric sum need only gcds with 6n (_lowest_terms).  The field route
 (prism_resistance_base, prism_resistance_via_reduction, prism_pair_sum)
-computes the same values in Q(sqrt 3) and certifies them rational; it is kept
-as the independent check of the integer one and is exact only.  The float
+computes the same values in Q(sqrt 3), with no inversion in the field, and
+certifies them rational; it is kept as the independent check of the integer
+one and is exact only.  The float
 resistances that prism_resistance and resistance_table serve come from one
 binary64 evaluation of the base form, _float_base.
 """
@@ -22,17 +24,20 @@ from __future__ import annotations
 import math
 import re
 import reprlib
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import Qsqrt3, SQRT3, _recip_one_plus_x_pow, two_minus_sqrt3_pow
+from .exact import (SQRT3, TWO_PLUS_SQRT3, Qsqrt3, _over, _recip_one_plus_x_pow,
+                    _split_one_plus_x_pow, two_minus_sqrt3_pow)
 from .genfib import _check_n, gfib
-from .ladder import ladder_branch
+from .ladder import _branch_parts, ladder_branch
 
 KINDS = ("pp", "pq")
 MODES = ("exact", "float")
 
 _VERTEX_RE = re.compile(r"([pq])([1-9][0-9]*)")
+_TWO_SQRT3 = Qsqrt3(0, 2)
 
 
 class PrismVertex(namedtuple("PrismVertex", "ring pos")):
@@ -132,6 +137,27 @@ def _ratio(n: int, u: int, a: int) -> tuple[int, int]:
     return u, 3 * a
 
 
+if sys.version_info >= (3, 12):
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+    def _coprime_fraction(num: int, den: int) -> Fraction:
+        return Fraction(num, den, _normalize=False)
+
+
+def _lowest_terms(num: int, den: int, m: int) -> Fraction:
+    """num/den, den > 0, as a Fraction, given that every prime dividing both divides m > 0.
+
+    Each pass divides out g = gcd(num, den, m), taken on the residues mod m
+    in time linear in the size of num and den, until g = 1.  Then no prime
+    divides both, for it would divide g, and the Fraction is built without a
+    gcd of its own, by the constructor for coprime ints: private, so chosen
+    by Python version.
+    """
+    while (g := math.gcd(num % m, den % m, m)) > 1:
+        num, den = num // g, den // g
+    return _coprime_fraction(num, den)
+
+
 def _exact_base(n: int, i: int, kind: str, uk: int, ak: int, ud: int, ad: int) -> Fraction:
     """r(p1, p_i) or r(p1, q_i) over the integers, from k = n // 2 and d = k - i + 1.
 
@@ -215,29 +241,42 @@ def prism_resistance_via_reduction(n: int, i: int, kind: str) -> Fraction:
     rungs and an arc of n - i + 1 rungs; each contributes one parallel branch
     between the targets.  The flat parts of the two branches are paths, which
     combine to (n - i + 1)(i - 1)/n.  The field part of each is one
-    ladder_branch, side_rung for same-ring targets and rung_diag for
-    cross-ring ones: R_i of the i-rung ladder, and R_o = 2 + that of the
-    (n - i)-rung ladder.  Each branch inverts 1 +- x^k at half the exponent
-    with no gcd (_recip_one_plus_x_pow), so the only inversion in Q(sqrt 3)
-    is the one parallel resistance R_o R_i/(R_o + R_i).  At i = n the outer arc
-    is a bare unit path for same-ring targets, R_o = 1, and an open circuit
-    for cross-ring ones, which leaves R_i.  Neither the arcs nor the sum
-    touch the integer kernel, and the sqrt(3) component is certified to
-    cancel before the result is returned.
+    ladder_branch, side_rung (s = 1) for same-ring targets and rung_diag
+    (s = -1) for cross-ring ones: R_i of the i-rung ladder, and R_o = 2 + that
+    of the o-rung ladder, o = n - i.  With x = 2 - sqrt3, each arc is
+    R_k = -1 - sqrt3 + 2 sqrt3/(1 + s x^k), so
+
+        R_i + R_o = 2 sqrt3 (1 - x^n) / ((1 + s x^i)(1 + s x^o)).
+
+    Each arc is A_k/(c_k tau_k) (ladder._branch_parts), with
+    1 + s x^k = x^(k//2) c_k tau_k, and 1 - x^n = x^(n//2) c_n tau_n
+    (exact._split_one_plus_x_pow).  So the parallel sum R_i R_o/(R_i + R_o)
+    is A_i A_o x^-delta / (2 sqrt3 c_n tau_n), delta = n//2 - i//2 - o//2 in
+    {0, 1}: no inversion, and c_i c_o cancels as an integer.  The identity
+    behind it, A_i c_o tau_o + A_o c_i tau_i = 2 sqrt3 x^delta c_n tau_n, is
+    checked on every call.  At i = n the outer arc is a bare unit path for
+    same-ring targets, R_o = 1, which the branch form gives at o = 0 (side_rung
+    is -1 there), and an open circuit for cross-ring ones, which leaves R_i.
+    Neither the arcs nor the sum touch the integer kernel, and the sqrt(3)
+    component is certified to cancel before the result is returned.
     """
     _check_args(n, i, kind)
     if i < 2:
         raise ValueError(f"the reduction route needs 2 <= i <= n, got i={i}")
     outer = n - i
     branch = "side_rung" if kind == "pp" else "rung_diag"
-    r_inner = ladder_branch(i, branch)
-    if outer:
-        r_outer = 2 + ladder_branch(outer, branch)
-        par_field = r_outer * r_inner / (r_outer + r_inner)
-    elif kind == "pp":
-        par_field = r_inner / (1 + r_inner)
+    if kind == "pq" and not outer:  # the outer arc is an open circuit
+        par_field = ladder_branch(i, branch)
     else:
-        par_field = r_inner
+        a_in, c_in, t_in = _branch_parts(i, branch)
+        a_out, c_out, t_out = _branch_parts(outer, branch)
+        a_out += 2 * c_out * t_out
+        _, c_n, t_n = _split_one_plus_x_pow(n, -1)
+        surd = _TWO_SQRT3 * t_n
+        lift = TWO_PLUS_SQRT3 if n // 2 > i // 2 + outer // 2 else 1  # x^-delta
+        if (a_in * c_out * t_out + a_out * c_in * t_in) * lift != c_n * surd:
+            raise ArithmeticError(f"arc sum identity failed for n={n}, i={i}, {kind}")
+        par_field = _over(a_in * a_out * lift, c_n, surd)
     total = (par_field + Fraction((outer + 1) * (i - 1), n)) * Fraction(1, 2)
     if not total.is_rational:
         raise ArithmeticError(f"sqrt(3) component failed to cancel for n={n}, i={i}, {kind}")
@@ -253,13 +292,15 @@ def kirchhoff_closed(n: int) -> Fraction:
 
     a is the sequence of genfib.gfib and u_n = a_{n+1} - 2 a_n; the paper's
     2 n^2 a_n^2/(a_2n - 2 a_n) is the same, because a_2n = 2 u_n a_n.  The
-    ratio a_n/(u_n - 1) is taken in lowest terms from the terms at n // 2
-    (_ratio), so the value is one Fraction of about n bits.  Values start
-    1, 11/3, 47/5, 58/3, ...
+    ratio a_n/(u_n - 1) = top/den is taken in lowest terms from the terms at
+    n // 2 (_ratio), so the value is one Fraction of about n bits,
+    (n(n^2-1) den + 6 n^2 top)/(6 den).  A prime that divides both and not
+    6n would divide den and then top, which are coprime; so _lowest_terms
+    reduces it by gcds with 6n alone.  Values start 1, 11/3, 47/5, 58/3, ...
     """
     _check_n(n)
     top, den = _ratio(n, *_unit(n // 2))
-    return Fraction(n * (n * n - 1) * den + 6 * n * n * top, 6 * den)
+    return _lowest_terms(n * (n * n - 1) * den + 6 * n * n * top, 6 * den, 6 * n)
 
 
 KIRCHHOFF_ROUTES = ("closed", "coth", "spectral")
@@ -329,7 +370,8 @@ def trig_sum(n: int, route: str = "direct"):
 
     route "direct" sums it numerically (float); route "closed" returns the
     exact rational n a_n / (u_n - 1) = 2 n a_n^2 / (a_2n - 2 a_n), with the
-    ratio in lowest terms from the terms at n // 2 (_ratio).  Values:
+    ratio top/den in lowest terms from the terms at n // 2 (_ratio), so
+    n top/den reduces by gcd(n, den) alone (_lowest_terms).  Values:
     1, 4/3, 9/5, ...
     """
     _check_n(n)
@@ -337,7 +379,7 @@ def trig_sum(n: int, route: str = "direct"):
         return sum(1.0 / (1.0 + 2.0 * math.sin(k * math.pi / n) ** 2) for k in range(n))
     if route == "closed":
         top, den = _ratio(n, *_unit(n // 2))
-        return Fraction(n * top, den)
+        return _lowest_terms(n * top, den, n)
     raise ValueError(f"route must be 'direct' or 'closed', got {route!r}")
 
 

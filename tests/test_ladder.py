@@ -117,6 +117,25 @@ def test_delta_edges_reassemble_params():
         assert Qsqrt3(n - 1).inverse() == d.side + d.diag
 
 
+def test_delta_edges_invert_nothing(monkeypatch):
+    def old_delta_edges(n):  # each branch inverted in the field
+        inv_rd = ladder_branch(n, "rung_diag").inverse()
+        inv_sr = ladder_branch(n, "side_rung").inverse()
+        inv_sd = Fraction(1, n - 1)
+        half = Fraction(1, 2)
+        return ((inv_sr + inv_sd - inv_rd) * half, (inv_rd + inv_sr - inv_sd) * half,
+                (inv_rd + inv_sd - inv_sr) * half)
+
+    def refuse(self):
+        raise AssertionError("Qsqrt3.inverse called")
+
+    want = {n: old_delta_edges(n) for n in range(2, 301)}
+    monkeypatch.setattr(Qsqrt3, "inverse", refuse)
+    for n, edges in want.items():
+        d = ladder_delta_edges(n)
+        assert (d.side, d.rung, d.diag) == edges, n
+
+
 def test_delta_edges_are_physical():
     for n in range(2, 41):
         d = ladder_delta_edges(n)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from prismres import prism as prism_module
 from prismres.exact import Qsqrt3
 from prismres.genfib import gfib, prism_spanning_tree_count
 from prismres.ladder import ladder_branch, ladder_delta_edges
@@ -206,10 +207,10 @@ def test_integer_route_does_not_use_the_field(monkeypatch):
 
 # 1999 .. 2002 take both parities of n and of every ladder arc, the four
 # cases of the half-exponent inverse 1/(1 +- x^n)
-@pytest.mark.parametrize("n", [1000, 1999, 2000, 2001, 2002, 4097])
+@pytest.mark.parametrize("n", [1000, 1999, 2000, 2001, 2002, 4097, 20000])
 def test_field_route_equals_integer_route_at_large_n(n):
     # big enough for the unreduced field elements to carry thousands of bits
-    for i in (2, 3, n // 3, n // 2, n // 2 + 1, n):
+    for i in (2, 3, n // 3, n // 2, n // 2 + 1, n - 1, n):
         want = {kind: prism_resistance(n, "p1", f"{kind[1]}{i}") for kind in KINDS}
         for kind in KINDS:
             assert prism_resistance_base(n, i, kind) == want[kind], (n, i, kind)
@@ -224,6 +225,17 @@ def test_kirchhoff_and_trig_sum_equal_the_a2n_forms():
         assert kirchhoff_closed(n) == \
             Fraction(n * (n * n - 1), 6) + Fraction(2 * n * n * an * an, gap), n
         assert trig_sum(n, "closed") == Fraction(2 * n * an * an, gap), n
+
+
+def test_kirchhoff_and_trig_sum_are_in_lowest_terms():
+    for n in [*range(1, 401), 10 ** 4, 10 ** 4 + 1, 10 ** 5]:
+        u, a = prism_module._unit(n // 2)
+        top, den = prism_module._ratio(n, u, a)
+        for got, num, denom in ((kirchhoff_closed(n), n * (n * n - 1) * den + 6 * n * n * top,
+                                 6 * den),
+                                (trig_sum(n, "closed"), n * top, den)):
+            assert math.gcd(got.numerator, got.denominator) == 1, n
+            assert got == Fraction(num, denom), n
 
 
 # -- half-size integer forms ----------------------------------------------
@@ -329,6 +341,32 @@ def test_via_reduction_boundary_is_bare():
     assert lhs == ((par_field + par_flat) * Fraction(1, 2)).as_rational()
     open_outer = (ladder_branch(10, "rung_diag") + par_flat) * Fraction(1, 2)
     assert prism_resistance_via_reduction(10, 10, "pq") == open_outer.as_rational()
+
+
+def test_via_reduction_inverts_nothing(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Qsqrt3.inverse called")
+
+    cases = [(n, i, kind) for n in range(2, 61) for i in range(2, n + 1) for kind in KINDS]
+    want = {(n, i, kind): prism_resistance(n, "p1", f"{kind[1]}{i}") for n, i, kind in cases}
+    monkeypatch.setattr(Qsqrt3, "inverse", refuse)
+    for case in cases:
+        assert prism_resistance_via_reduction(*case) == want[case], case
+
+
+@pytest.mark.parametrize("n, i, kind", [(2, 2, "pp"), (7, 3, "pp"), (8, 3, "pq"),
+                                        (9, 9, "pp"), (40, 21, "pq")])
+def test_via_reduction_certifies_the_arc_sum(monkeypatch, n, i, kind):
+    # one unit off the outer arc's numerator breaks the identity the sum rests on
+    parts = prism_module._branch_parts
+
+    def corrupt(k, name):
+        a, c, tau = parts(k, name)
+        return (a + 1 if k == n - i else a), c, tau
+
+    monkeypatch.setattr(prism_module, "_branch_parts", corrupt)
+    with pytest.raises(ArithmeticError, match="arc sum identity"):
+        prism_resistance_via_reduction(n, i, kind)
 
 
 def test_via_reduction_matches_base():
