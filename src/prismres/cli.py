@@ -44,7 +44,7 @@ from .prism import kirchhoff_closed, kirchhoff_float, prism_resistance, resistan
 # any work.  Each cap costs about 1 GB of peak memory, except those of the
 # exact closed forms and verify's, which need little memory.  On a two-core
 # x86-64 machine the exact kirchhoff takes about 12 s at its cap and an exact
-# resistance about 2 minutes, its full gcd being quadratic; verify takes
+# resistance 9-51 s, the division by U_gcd(n, l) being quadratic; verify takes
 # about 5.5 s at its cap, and its time grows about as n^3.  Float resistance
 # and --method coth run in O(1) and are not capped.
 CAPS = {

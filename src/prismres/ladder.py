@@ -22,8 +22,8 @@ _HALF = Fraction(1, 2)
 _HALF_ROOT = Qsqrt3(_HALF, _HALF)  # (1 + sqrt3)/2
 
 
-def _branch_parts(n: int, name: str) -> tuple[Qsqrt3, int, Qsqrt3]:
-    """(A, c, tau) with ladder_branch(n, name) = A/(c tau), unchecked, n >= 0.
+def _branch_parts(n: int, name: str) -> tuple[Qsqrt3, int, Qsqrt3, Qsqrt3]:
+    """(A, c, tau, x^-j) with ladder_branch(n, name) = A/(c tau), unchecked, n >= 0.
 
     With 1 + s x^n = x^j c tau from _split_one_plus_x_pow and
     x^-j = u_j + a_j sqrt3, A = (-1 - sqrt3) c tau + 2 sqrt3 x^-j is an
@@ -31,7 +31,7 @@ def _branch_parts(n: int, name: str) -> tuple[Qsqrt3, int, Qsqrt3]:
     limit of no rungs: side_rung gives -1, rung_diag has c = 0.
     """
     w, c, tau = _split_one_plus_x_pow(n, _BRANCH_SIGNS[name])
-    return _HEAD * c * tau + _TWO_SQRT3 * w, c, tau
+    return _HEAD * c * tau + _TWO_SQRT3 * w, c, tau, w
 
 
 def ladder_branch(n: int, name: str) -> Qsqrt3:
@@ -54,7 +54,7 @@ def ladder_branch(n: int, name: str) -> Qsqrt3:
         raise ValueError(f"ladder must have at least one rung, got n={n}")
     if name not in _BRANCH_SIGNS:
         raise ValueError(f"branch must be one of {tuple(_BRANCH_SIGNS)}, got {name!r}")
-    return _over(*_branch_parts(n, name))
+    return _over(*_branch_parts(n, name)[:3])
 
 
 def _conductance(n: int, name: str) -> Qsqrt3:
@@ -114,10 +114,12 @@ def ladder_delta_edges(n: int) -> DeltaEdges:
     """
     if n < 2:
         raise ValueError(f"four distinct corners require n >= 2, got n={n}")
-    inv_rd = _conductance(n, "rung_diag")
-    inv_sr = _conductance(n, "side_rung")
+    rd, sr = _conductance(n, "rung_diag"), _conductance(n, "side_rung")
+    # rd + sr and sr - rd over one denominator: five big products, not ten
+    p, q, r, s = rd._p * sr._d, rd._q * sr._d, sr._p * rd._d, sr._q * rd._d
+    d = rd._d * sr._d
+    both, gap = Qsqrt3._of(p + r, q + s, d), Qsqrt3._of(r - p, s - q, d)
     inv_sd = Fraction(1, n - 1)
-    both, gap = inv_rd + inv_sr, inv_sr - inv_rd  # the two sums of big denominators
     return DeltaEdges(
         n=n,
         side=(gap + inv_sd) * _HALF,

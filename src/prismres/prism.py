@@ -5,12 +5,13 @@ ring (p1, q_i); by its symmetries every pair reduces to one of those, with
 i - 1 the ring distance of the pair, so 1 <= i <= n // 2 + 1.  The exact
 values are computed over the integers from
 (2 + sqrt3)^k = u_k + a_k sqrt3, with a_k = gfib(k) and u_k = a_{k+1} - 2 a_k,
-at half the exponent: every form shares the ratio a_n/(u_n - 1), which is
-u_k/(3 a_k) for n = 2k and (a_{k+1} - a_k)/(a_{k+1} + a_k) for n = 2k + 1, in
-lowest terms by the unit norm u_k^2 - 3 a_k^2 = 1.  So no sequence term past
-k + 1 = n // 2 + 1 is needed, and each value is one Fraction over a common
-denominator of about n bits, reduced by one gcd; the Kirchhoff index and the
-trigonometric sum need only gcds with 6n (_lowest_terms).  The field route
+at half the exponent, so no sequence term past k + 1 = n // 2 + 1 is needed.
+The Kirchhoff index and the trigonometric sum share the ratio a_n/(u_n - 1),
+u_k/(3 a_k) for n = 2k and (a_{k+1} - a_k)/(a_{k+1} + a_k) for n = 2k + 1,
+coprime by the unit norm u_k^2 - 3 a_k^2 = 1.  A resistance is a ratio of
+terms of Lehmer's sequence and its companion (_lehmer), whose common factor
+is known in advance.  So every exact value is put in lowest terms by gcds
+with 6n alone (_lowest_terms), with no gcd on big ints.  The field route
 (prism_resistance_base, prism_resistance_via_reduction, prism_pair_sum)
 computes the same values in Q(sqrt 3), with no inversion in the field, and
 certifies them rational; it is kept as the independent check of the integer
@@ -129,8 +130,7 @@ def _ratio(n: int, u: int, a: int) -> tuple[int, int]:
     """a_n/(u_n - 1) in lowest terms as (top, den), from (u, a) = (u_k, a_k), k = n // 2.
 
     n = 2k gives u_k/(3 a_k) and n = 2k + 1 gives (a_{k+1} - a_k)/(a_{k+1} + a_k),
-    with a_{k+1} = u_k + 2 a_k; the unit norm u_k^2 - 3 a_k^2 = 1 makes both
-    coprime.  For any exponent d, top(u_d, a_d) is the c_d of _exact_base.
+    with a_{k+1} = u_k + 2 a_k; the unit norm u_k^2 - 3 a_k^2 = 1 makes both coprime.
     """
     if n % 2:
         return u + a, u + 3 * a
@@ -158,25 +158,58 @@ def _lowest_terms(num: int, den: int, m: int) -> Fraction:
     return _coprime_fraction(num, den)
 
 
-def _exact_base(n: int, i: int, kind: str, uk: int, ak: int, ud: int, ad: int) -> Fraction:
-    """r(p1, p_i) or r(p1, q_i) over the integers, from k = n // 2 and d = k - i + 1.
+def _lehmer(j: int, u: int, a: int) -> tuple[int, int]:
+    """(U_j, V_j) from (u, a) = (u_t, a_t), t = j // 2.
 
-    The offset is folded, 1 <= i <= k + 1, so 0 <= d <= k.  With (u_k, a_k)
-    and (u_d, a_d) the integer parts of (2 + sqrt3)^k and (2 + sqrt3)^d, and
-    c_k/den the ratio a_n/(u_n - 1) of _ratio,
-
-        (n - i + 1)(i - 1)/(2n) + (c_k -/+ c_d)/(2 den),
-
-    minus for "pp", plus for "pq", where c_d = u_d for even n and
-    c_d = a_{d+1} - a_d = u_d + a_d for odd n.  This is
-    prism_resistance_base's form with numerator and denominator multiplied by
-    (2 + sqrt3)^(n/2).  The terms are put over the common denominator 2n den,
-    of about n bits, so one gcd reduces the result.
+    With alpha, beta = (sqrt3 +- 1)/sqrt2, alpha beta = 1 and alpha^2 = 2 + sqrt3,
+    U_j is Lehmer's (alpha^j - beta^j)/(alpha - beta), over alpha^2 - beta^2 for
+    even j, and V_j its companion (alpha^j + beta^j)/(alpha + beta), or no divisor.
     """
-    top, den = _ratio(n, uk, ak)
-    side = n * _ratio(n, ud, ad)[0]
-    flat = (n - i + 1) * (i - 1) * den + n * top
-    return Fraction(flat - side if kind == "pp" else flat + side, 2 * n * den)
+    return (u + 3 * a, u + a) if j % 2 else (a, 2 * u)
+
+
+def _exact_base(n: int, l: int, kind: str, unit) -> Fraction:
+    """r(p1, p_(l+1)) ("pp") or r(p1, q_(l+1)) ("pq"), 0 <= l <= n // 2, in lowest terms.
+
+    unit(t) = (u_t, a_t), t <= n // 2.  With m = n - l and x = beta^2, as
+    x^n = x^m x^l and 1 -/+ x^j = beta^j (alpha^j -/+ beta^j), the base form is
+
+        m l/(2n) + U_m U_l/(c U_n)   ("pp", c = 6 for n even and l odd, else 1)
+        m l/(2n) + V_m V_l/(c U_n)   ("pq", c = 12 for n and l even, else 2).
+
+    The factor at m comes from (2 + sqrt3)^(m//2) = (2 + sqrt3)^(n//2) (2 - sqrt3)^s,
+    s = l//2 (+ 1 for n even, l odd), by two products.  For 2l > n//2 the product
+    at m and l is c (V_n -/+ V_(m-l))/(12 for even n, else 2) instead, from the
+    small power at n//2 - l, as (alpha^m -/+ beta^m)(alpha^l -/+ beta^l) is
+    alpha^n + beta^n -/+ (alpha^(m-l) + beta^(m-l)).  Lowest terms: with
+    g = gcd(n, l), F = U_g ("pp"), V_g ("pq", n/g even) or 1 divides U_n and
+    the factor at l, and r = (m l den + 2n num)/(2n den), with num the product
+    at m and l over F and den = c U_n/F.  A prime p that divides both terms and
+    not 6n divides num and U_n/F.  In Z[alpha]: (i) gcd(U_i, U_j) = U_gcd(i,j)
+    (D. H. Lehmer, Ann. Math. 1930) and gcd(U_d, U_hd/U_d) | h; (ii) U_2j = U_j V_j;
+    (iii) U_j and V_j share no prime outside 6, as alpha^j -/+ beta^j sum to
+    2 alpha^j.  "pp": p | U_m or U_l/U_g, and U_n, so U_g and U_n/U_g, so
+    p | n/g.  "pq": p | V_j, j = m or l, so U_2j, and U_n, so U_gcd(2j,n).
+    For odd n/g that is U_g | U_j, against (iii); else it is U_2g = U_g V_g,
+    and p | V_g as U_g | U_j, so p | U_n/U_2g and p | n/(2g).  Either way
+    p | n, so _lowest_terms with 6n reduces the value: no gcd sees a big int.
+    """
+    m, g, k, side = n - l, math.gcd(n, l), n // 2, kind == "pq"  # side indexes V
+    uk, ak = unit(k)
+    un, vn = _lehmer(n, uk, ak)
+    c = (12 if n % 2 == l % 2 == 0 else 2) if side else (6 if n % 2 < l % 2 else 1)
+    f = 1 if side and n // g % 2 else _lehmer(g, *unit(g // 2))[side]
+    if 2 * l > k and g < l:  # at g = l the products need no big division for num
+        vd = _lehmer(m - l, *unit(k - l))[1]
+        num = c * (vn + vd if side else vn - vd) // (2 if n % 2 else 12) // f
+    else:
+        uh, ah = unit(l // 2)
+        us, as_ = (2 * uh + 3 * ah, uh + 2 * ah) if n % 2 < l % 2 else (uh, ah)
+        # (u, a) at m // 2 is us (uk, ak) - as_ (3 ak, uk), and _lehmer is linear in it
+        am = us * _lehmer(m, uk, ak)[side] - as_ * _lehmer(m, 3 * ak, uk)[side]
+        num = am * (_lehmer(l, uh, ah)[side] // f)
+    den = c * (un // f)
+    return _lowest_terms(m * l * den + 2 * n * num, 2 * n * den, 6 * n)
 
 
 def _as_vertex(v: "PrismVertex | str") -> PrismVertex:
@@ -192,9 +225,10 @@ def prism_resistance(n: int, u: "PrismVertex | str", v: "PrismVertex | str",
     under i -> n + 2 - i.  So only the ring distance l of the two positions
     matters, 0 <= l <= n // 2, with i = l + 1: the order of u and v is
     irrelevant, and a vertex with itself is the i = 1 same-ring value, 0.
-    Exact values come from the integer form of _exact_base, with
-    (2 + sqrt3)^d = (2 + sqrt3)^k (2 - sqrt3)^l, k = n // 2, taken from the
-    smaller of the powers l and d = k - l; float ones from _float_base.
+    Exact values come from _exact_base, in lowest terms with no gcd on big
+    ints, from the powers (2 + sqrt3)^t at t = n // 2, g // 2 with
+    g = gcd(n, l), and l // 2, or n // 2 - l for 2l > n // 2 and g < l; float
+    ones from _float_base.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -209,14 +243,8 @@ def prism_resistance(n: int, u: "PrismVertex | str", v: "PrismVertex | str",
     kind = "pp" if u.ring == v.ring else "pq"
     if mode == "float":
         return _float_base(n, l + 1, kind)
-    k = n // 2
-    uk, ak = _unit(k)
-    if 2 * l <= k:
-        ul, al = _unit(l)
-        ud, ad = uk * ul - 3 * ak * al, ak * ul - uk * al
-    else:
-        ud, ad = _unit(k - l)
-    return _exact_base(n, l + 1, kind, uk, ak, ud, ad)
+    units = {0: (1, 0), 1: (2, 1), n // 2: _unit(n // 2)}  # any other t computed once
+    return _exact_base(n, l, kind, lambda t: units.get(t) or units.setdefault(t, _unit(t)))
 
 
 def prism_pair_sum(n: int, i: int) -> Fraction:
@@ -250,7 +278,8 @@ def prism_resistance_via_reduction(n: int, i: int, kind: str) -> Fraction:
 
     Each arc is A_k/(c_k tau_k) (ladder._branch_parts), with
     1 + s x^k = x^(k//2) c_k tau_k, and 1 - x^n = x^(n//2) c_n tau_n
-    (exact._split_one_plus_x_pow).  So the parallel sum R_i R_o/(R_i + R_o)
+    (exact._split_one_plus_x_pow), where x^-(n//2) = x^-(i//2) x^-(o//2) x^-delta
+    is one product of the arcs' powers.  So the parallel sum R_i R_o/(R_i + R_o)
     is A_i A_o x^-delta / (2 sqrt3 c_n tau_n), delta = n//2 - i//2 - o//2 in
     {0, 1}: no inversion, and c_i c_o cancels as an integer.  The identity
     behind it, A_i c_o tau_o + A_o c_i tau_i = 2 sqrt3 x^delta c_n tau_n, is
@@ -268,12 +297,12 @@ def prism_resistance_via_reduction(n: int, i: int, kind: str) -> Fraction:
     if kind == "pq" and not outer:  # the outer arc is an open circuit
         par_field = ladder_branch(i, branch)
     else:
-        a_in, c_in, t_in = _branch_parts(i, branch)
-        a_out, c_out, t_out = _branch_parts(outer, branch)
+        a_in, c_in, t_in, w_in = _branch_parts(i, branch)
+        a_out, c_out, t_out, w_out = _branch_parts(outer, branch)
         a_out += 2 * c_out * t_out
-        _, c_n, t_n = _split_one_plus_x_pow(n, -1)
-        surd = _TWO_SQRT3 * t_n
         lift = TWO_PLUS_SQRT3 if n // 2 > i // 2 + outer // 2 else 1  # x^-delta
+        _, c_n, t_n = _split_one_plus_x_pow(n, -1, w_in * w_out * lift)
+        surd = _TWO_SQRT3 * t_n
         if (a_in * c_out * t_out + a_out * c_in * t_in) * lift != c_n * surd:
             raise ArithmeticError(f"arc sum identity failed for n={n}, i={i}, {kind}")
         par_field = _over(a_in * a_out * lift, c_n, surd)
@@ -404,10 +433,9 @@ def resistance_table(n: int, mode: str = "exact") -> list[list]:
     offsets past them mirror these, since the base form is invariant under
     i -> n + 2 - i.  Row p_a is row p1 with each half rotated right by a - 1;
     by the same fold r(q1, p_b) = r(p1, q_b), so row q_a is (pq, pp) rotated
-    the same way.  In exact mode the power (2 + sqrt3)^d of _exact_base,
-    d = n // 2 - i + 1, is stepped down from d = n // 2 to 0, one
-    multiplication by 2 - sqrt3 each, so only (2 + sqrt3)^(n // 2) is
-    computed from scratch.
+    the same way.  In exact mode the powers (2 + sqrt3)^t that _exact_base
+    reads are stepped up from t = 0 to n // 2, one multiplication by
+    2 + sqrt3 each, and none is computed from scratch.
     """
     _check_n(n)
     if mode not in MODES:
@@ -416,13 +444,11 @@ def resistance_table(n: int, mode: str = "exact") -> list[list]:
     if mode == "float":
         pp, pq = ([_float_base(n, i, kind) for i in half] for kind in KINDS)
     else:
-        uk, ak = _unit(n // 2)
-        ud, ad = uk, ak  # d = k at offset i = 1
-        pp, pq = [], []
-        for i in half:
-            pp.append(_exact_base(n, i, "pp", uk, ak, ud, ad))
-            pq.append(_exact_base(n, i, "pq", uk, ak, ud, ad))
-            ud, ad = 2 * ud - 3 * ad, 2 * ad - ud
+        units = [(1, 0)]
+        for _ in range(n // 2):
+            u, a = units[-1]
+            units.append((2 * u + 3 * a, u + 2 * a))
+        pp, pq = ([_exact_base(n, i - 1, kind, units.__getitem__) for i in half] for kind in KINDS)
     pp += pp[n - len(pp):0:-1]
     pq += pq[n - len(pq):0:-1]
     rows = []

@@ -259,3 +259,22 @@ def test_criterion_15_kirchhoff_at_a_million_from_the_cli(capsys):
         for n in sizes:
             assert cli_main(["kirchhoff", str(n)]) == 0
             assert capsys.readouterr().out == _fmt(pr.kirchhoff_closed(n)) + "\n", n
+
+
+def test_criterion_15_resistance_at_a_million_from_the_cli():
+    """The resistance part of closed forms at the cap: 10^6 in a fresh process under 3 s.
+
+    p1 q250001 is a quarter of the way round the ring, so gcd(n, l) = n/4 and
+    _exact_base divides U_n by a Lehmer factor of a quarter of its size.
+    """
+    with criterion(15, "prismres resistance 1000000 p1 q250001 < 3s wall; "
+                       "stdout is _fmt of the Fraction"):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pr.__file__)))
+        args = ["resistance", "1000000", "p1", "q250001"]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "prismres.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+        wall = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert wall < 3.0, f"took {wall:.2f}s"
+        assert proc.stdout == _fmt(pr.prism_resistance(10 ** 6, "p1", "q250001")) + "\n"

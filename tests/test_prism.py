@@ -310,6 +310,57 @@ def test_half_size_forms_equal_the_full_size_forms(full_size):
             assert prism_resistance(n, "p1", other) == value, (n, i, kind)
 
 
+# -- resistances in lowest terms with no wide gcd ---------------------------
+
+
+def test_resistances_are_the_ratio_form_in_lowest_terms():
+    # the form with the common denominator 2n den: (flat -/+ n c_d)/(2n den),
+    # d = k - l, from powers stepped here, and reduced by Fraction's own gcd
+    for n in range(1, 301):
+        k = n // 2
+        units = [(1, 0)]
+        for _ in range(k):
+            u, a = units[-1]
+            units.append((2 * u + 3 * a, u + 2 * a))
+        uk, ak = units[k]
+        top, den = (uk + ak, uk + 3 * ak) if n % 2 else (uk, 3 * ak)
+        for i in range(1, n + 1):
+            ud, ad = units[k - min(i - 1, n - i + 1)]
+            flat = (n - i + 1) * (i - 1) * den + n * top
+            side = n * (ud + ad if n % 2 else ud)
+            for kind, want in (("pp", flat - side), ("pq", flat + side)):
+                got = prism_resistance(n, "p1", f"{kind[1]}{i}")
+                assert math.gcd(got.numerator, got.denominator) == 1, (n, i, kind)
+                assert got == Fraction(want, 2 * n * den), (n, i, kind)
+
+
+@pytest.mark.parametrize("n", [10 ** 4, 10 ** 4 + 1, 20000])
+def test_resistances_equal_the_field_route_at_sampled_offsets(n):
+    for i in _sample_offsets(n):
+        for kind in KINDS:
+            got = prism_resistance(n, "p1", f"{kind[1]}{i}")
+            assert got == prism_resistance_base(n, i, kind), (n, i, kind)
+            assert math.gcd(got.numerator, got.denominator) == 1, (n, i, kind)
+
+
+def test_exact_resistances_take_no_wide_gcd(monkeypatch):
+    gcd, widths = math.gcd, []
+
+    def recording(*args):
+        widths.append(max(abs(x) for x in args).bit_length())
+        return gcd(*args)
+
+    n = 10 ** 4
+    monkeypatch.setattr(math, "gcd", recording)  # Fraction's own gcd goes through it too
+    for i in _sample_offsets(n):
+        for ring in "pq":
+            prism_resistance(n, "p1", f"{ring}{i}")
+    assert widths and max(widths) <= (6 * n).bit_length(), max(widths)
+    widths.clear()
+    resistance_table(48)
+    assert widths and max(widths) <= (6 * 48).bit_length(), max(widths)
+
+
 # -- pair sums ------------------------------------------------------------
 
 
@@ -361,8 +412,8 @@ def test_via_reduction_certifies_the_arc_sum(monkeypatch, n, i, kind):
     parts = prism_module._branch_parts
 
     def corrupt(k, name):
-        a, c, tau = parts(k, name)
-        return (a + 1 if k == n - i else a), c, tau
+        a, *rest = parts(k, name)
+        return (a + 1 if k == n - i else a), *rest
 
     monkeypatch.setattr(prism_module, "_branch_parts", corrupt)
     with pytest.raises(ArithmeticError, match="arc sum identity"):
