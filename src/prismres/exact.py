@@ -4,8 +4,9 @@ Every closed form in this package lives in Q(sqrt 3).  The field route
 computes the provably rational quantities here and certifies them rational
 before they escape, so no precision is lost; it is the independent check of
 the integer kernel (genfib.gfib) that the served closed forms use.  A field
-element is held as three ints (p + q sqrt3)/d, not two Fractions, so only an
-inversion pays for a gcd.  The field route's one recurring denominator,
+element is held as three ints (p + q sqrt3)/d, not two Fractions, and Qsqrt3
+is only a ring: it adds, subtracts, multiplies and raises to powers >= 0, and
+its arithmetic takes no gcd.  The field route's one recurring denominator,
 1 +- (2 - sqrt3)^n, is never inverted in the field: _split_one_plus_x_pow
 factors it as a power of the unit at half the exponent times an integer and
 a fixed surd, and _over divides by such a product with no gcd.
@@ -23,18 +24,26 @@ class Qsqrt3:
     """An element (p + q*sqrt(3))/d of the quadratic field Q(sqrt 3).
 
     p, q and d are ints with d > 0, and the triple need not be in lowest
-    terms: sums, differences and products are plain integer arithmetic with
-    no gcd, and only inverse() reduces, by one three-way gcd, which keeps the
-    sizes bounded.  Integer elements, such as the powers of the unit
-    2 - sqrt3, keep d = 1.  The components a = p/d and b = q/d are
+    terms: sums, differences, products and powers are plain integer
+    arithmetic with no gcd.  Integer elements, such as the powers of the
+    unit 2 - sqrt3, keep d = 1.  The components a = p/d and b = q/d are
     lowest-terms Fractions; because sqrt(3) is irrational they are unique,
-    so equality (by cross-multiplying) and hashing are componentwise.
+    so equality (by cross-multiplying) and hashing are componentwise.  Only
+    .a, .b, norm(), hash and as_rational reduce, through Fraction.
     Instances are immutable by convention; arithmetic returns new objects.
 
     Mixed arithmetic with int and Fraction works on either side:
 
         >>> (Qsqrt3(2, -1) * Qsqrt3(2, 1)).as_rational()
         Fraction(1, 1)
+
+    There is no division, inverse or negative power; the reciprocal of a
+    nonzero z is its conjugate over its rational norm:
+
+        >>> z = Qsqrt3(1, 1)
+        >>> w = z.conjugate() * (1 / z.norm())
+        >>> w, z * w == 1
+        (Qsqrt3(-1/2, 1/2), True)
     """
 
     __slots__ = ("_p", "_q", "_d")
@@ -88,7 +97,7 @@ class Qsqrt3:
         sign = "+" if b > 0 else "-"
         return f"{a} {sign} {root}"
 
-    # -- field structure -----------------------------------------------
+    # -- ring structure ------------------------------------------------
 
     @staticmethod
     def _coerce(other) -> "Qsqrt3 | None":
@@ -149,28 +158,17 @@ class Qsqrt3:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Qsqrt3":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other) -> "Qsqrt3":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, exponent: int) -> "Qsqrt3":
         if not isinstance(exponent, int):
             return NotImplemented
-        base = self.inverse() if exponent < 0 else self
+        if exponent < 0:
+            raise ValueError(f"negative exponent {exponent}: Qsqrt3 does not divide")
         # from the top bit down, so no squaring is left over after the last bit
         result = Qsqrt3._of(1, 0, 1)
-        for bit in bin(abs(exponent))[2:]:
+        for bit in bin(exponent)[2:]:
             result = result * result
             if bit == "1":
-                result = result * base
+                result = result * self
         return result
 
     def conjugate(self) -> "Qsqrt3":
@@ -180,27 +178,6 @@ class Qsqrt3:
     def norm(self) -> Fraction:
         """Field norm a^2 - 3 b^2; zero only for the zero element."""
         return Fraction(self._p * self._p - 3 * self._q * self._q, self._d * self._d)
-
-    def inverse(self) -> "Qsqrt3":
-        """Multiplicative inverse conjugate/norm, reduced by one three-way gcd.
-
-        1/((p + q sqrt3)/d) = d (p - q sqrt3)/(p^2 - 3 q^2); an integral unit
-        such as 2 - sqrt3 has norm 1, so it keeps d = 1 and takes no gcd.
-        A rational element is just d/p, and its gcd is taken on p and d, not
-        on their squares.
-        """
-        p, q, d = self._p, self._q, self._d
-        if q == 0 and p:
-            g = math.gcd(p, d) if p > 0 else -math.gcd(p, d)
-            return Qsqrt3._of(d // g, 0, p // g)
-        norm = p * p - 3 * q * q
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt3)")
-        if norm < 0:
-            norm, d = -norm, -d
-        p, q = d * p, -d * q
-        g = math.gcd(p, q, norm) if norm > 1 else 1
-        return Qsqrt3._of(p // g, q // g, norm // g)
 
     # -- conversions ----------------------------------------------------
 
@@ -293,12 +270,3 @@ def _over(z: Qsqrt3, c: int, tau: Qsqrt3) -> Qsqrt3:
         norm, p, q = -norm, -p, -q
     return z * Qsqrt3._of(p, -q, c * norm)
 
-
-def _recip_one_plus_x_pow(n: int, s: int) -> Qsqrt3:
-    """1/(1 + s x^n) with x = 2 - sqrt3, n >= 1 and s = +-1, without its norm or a gcd.
-
-    It is x^-j/(c tau) from _split_one_plus_x_pow: one power at half the
-    exponent and one product by (1, sqrt3/3, (3 + sqrt3)/6 or
-    (1 + sqrt3)/2)/c, left unreduced.
-    """
-    return _over(*_split_one_plus_x_pow(n, s))

@@ -29,8 +29,8 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import (SQRT3, TWO_PLUS_SQRT3, Qsqrt3, _over, _recip_one_plus_x_pow,
-                    _split_one_plus_x_pow, two_minus_sqrt3_pow)
+from .exact import (SQRT3, TWO_PLUS_SQRT3, Qsqrt3, _over, _split_one_plus_x_pow,
+                    two_minus_sqrt3_pow)
 from .genfib import _check_n, gfib
 from .ladder import _branch_parts, ladder_branch
 
@@ -88,8 +88,9 @@ def prism_resistance_base(n: int, i: int, kind: str) -> Fraction:
     minus for "pp", plus for "pq".  It is evaluated in Q(sqrt 3) from powers
     of x alone, so it never calls the integer kernel it checks, with
     x^n = x^m x^l since m + l = n and 1/(2 sqrt3) = sqrt3/6; 1/(1 - x^n)
-    comes from _recip_one_plus_x_pow, with no gcd.  The sqrt(3) component is
-    certified to cancel and the result is a Fraction.
+    is x^-j/(c tau) from _split_one_plus_x_pow, divided by _over with no gcd.
+    The sqrt(3) component is certified to cancel and the result is a
+    Fraction.
     """
     _check_args(n, i, kind)
     m, l = n - i + 1, i - 1
@@ -98,7 +99,7 @@ def prism_resistance_base(n: int, i: int, kind: str) -> Fraction:
     tail = xm + xl
     if kind == "pp":
         tail = -tail
-    field = (1 + xn + tail) * _recip_one_plus_x_pow(n, -1) * Qsqrt3(0, Fraction(1, 6))
+    field = (1 + xn + tail) * _over(*_split_one_plus_x_pow(n, -1)) * Qsqrt3(0, Fraction(1, 6))
     total = field + Fraction(m * l, 2 * n)
     if not total.is_rational:
         raise ArithmeticError(f"sqrt(3) component failed to cancel for n={n}, i={i}, {kind}")
@@ -251,11 +252,11 @@ def prism_pair_sum(n: int, i: int) -> Fraction:
     """r(p1, p_i) + r(p1, q_i): the cross terms cancel, leaving one power of x.
 
     Exact closed form sqrt3/3 * (1 + x^n)/(1 - x^n) + (n-i+1)(i-1)/n with
-    x = 2 - sqrt3, certified rational.  The ratio is 2/(1 - x^n) - 1, from
-    _recip_one_plus_x_pow with no gcd.
+    x = 2 - sqrt3, certified rational.  The ratio is 2/(1 - x^n) - 1, with
+    1/(1 - x^n) from _split_one_plus_x_pow and _over, with no gcd.
     """
     _check_args(n, i, "pp")
-    core = Qsqrt3(0, Fraction(1, 3)) * (2 * _recip_one_plus_x_pow(n, -1) - 1)
+    core = Qsqrt3(0, Fraction(1, 3)) * (2 * _over(*_split_one_plus_x_pow(n, -1)) - 1)
     total = core + Fraction((n - i + 1) * (i - 1), n)
     if not total.is_rational:
         raise ArithmeticError(f"sqrt(3) component failed to cancel for pair sum n={n}, i={i}")

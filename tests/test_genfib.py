@@ -23,7 +23,7 @@ def test_closed_form_matches_iteration():
     # Binet: a[k] = ((2 - sqrt3)^-k - (2 - sqrt3)^k) / (2 sqrt3), in the field
     for k in range(401):
         xk = two_minus_sqrt3_pow(k)
-        assert (two_minus_sqrt3_pow(-k) - xk) / Qsqrt3(0, 2) == gfib(k), k
+        assert two_minus_sqrt3_pow(-k) - xk == Qsqrt3(0, 2) * gfib(k), k
 
 
 def test_reciprocal_power_identity():
