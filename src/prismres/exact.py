@@ -1,15 +1,18 @@
 """The field Q(sqrt 3), exactly.
 
 Every closed form in this package lives in Q(sqrt 3).  The field route
-computes the provably rational quantities here and certifies them rational
-before they escape, so no precision is lost; it is the independent check of
-the integer kernel (genfib.gfib) that the served closed forms use.  A field
-element is held as three ints (p + q sqrt3)/d, not two Fractions, and Qsqrt3
-is only a ring: it adds, subtracts, multiplies and raises to powers >= 0, and
-its arithmetic takes no gcd.  The field route's one recurring denominator,
-1 +- (2 - sqrt3)^n, is never inverted in the field: _split_one_plus_x_pow
-factors it as a power of the unit at half the exponent times an integer and
-a fixed surd, and _over divides by such a product with no gcd.
+computes the provably rational quantities here, and each leaves as a
+Fraction through Qsqrt3.as_rational(), the one check that its sqrt(3) part
+cancelled; there is no float() of an element.  The route is the independent
+check of the integer kernel (genfib.gfib) that the served closed forms use.
+A field element is held as three ints (p + q sqrt3)/d, not two Fractions, and
+Qsqrt3 is only a ring: it adds, subtracts, multiplies and raises to powers
+>= 0, and its arithmetic takes no gcd, so the triple grows along a long chain
+of operations; Qsqrt3(z.a, z.b) rebuilds z reduced.  The field route's one
+recurring denominator, 1 +- (2 - sqrt3)^n, is never inverted in the field:
+_split_one_plus_x_pow factors it as a power of the unit at half the exponent
+times an integer and a fixed surd, and _over divides by such a product with
+no gcd.
 """
 
 from __future__ import annotations
@@ -29,8 +32,12 @@ class Qsqrt3:
     unit 2 - sqrt3, keep d = 1.  The components a = p/d and b = q/d are
     lowest-terms Fractions; because sqrt(3) is irrational they are unique,
     so equality (by cross-multiplying) and hashing are componentwise.  Only
-    .a, .b, norm(), hash and as_rational reduce, through Fraction.
-    Instances are immutable by convention; arithmetic returns new objects.
+    .a, .b, norm(), hash and as_rational reduce, through Fraction; the
+    triple itself is never reduced, so it grows along a long chain, and
+    Qsqrt3(z.a, z.b) rebuilds z in lowest terms.  There is no float(): a
+    value leaves the field through as_rational(), which raises ValueError
+    unless the sqrt(3) component is zero.  Instances are immutable by
+    convention; arithmetic returns new objects.
 
     Mixed arithmetic with int and Fraction works on either side:
 
@@ -190,27 +197,6 @@ class Qsqrt3:
         if self._q != 0:
             raise ValueError(f"{self} has a nonzero sqrt(3) component")
         return self.a
-
-    def __float__(self) -> float:
-        """The value in binary64 within 2 ulp, +-inf past its range, never nan.
-
-        Where p and q share a sign, p + q sqrt3 is taken to 64 fraction bits
-        by one isqrt and divided by d as ints.  Otherwise it is the norm
-        p^2 - 3 q^2 over d (p - q sqrt3), whose two terms share a sign.  So
-        nothing cancels, and the one int division rounds correctly.
-        """
-        p, q, d = self._p, self._q, self._d
-        root = math.isqrt(3 * q * q << 128)
-        if q < 0:
-            root = -root
-        if p * q >= 0:
-            num, den = (p << 64) + root, d << 64
-        else:
-            num, den = (p * p - 3 * q * q) << 64, d * ((p << 64) - root)
-        try:
-            return num / den
-        except OverflowError:
-            return math.inf if (num > 0) == (den > 0) else -math.inf
 
 
 TWO_MINUS_SQRT3 = Qsqrt3(2, -1)

@@ -25,14 +25,13 @@ from __future__ import annotations
 import math
 import re
 import reprlib
-import sys
 from collections import namedtuple
 from fractions import Fraction
 
 from .exact import (SQRT3, TWO_PLUS_SQRT3, Qsqrt3, _over, _split_one_plus_x_pow,
                     two_minus_sqrt3_pow)
 from .genfib import _check_n, gfib
-from .ladder import _branch_parts, ladder_branch
+from .ladder import _branch_parts
 
 KINDS = ("pp", "pq")
 MODES = ("exact", "float")
@@ -100,10 +99,7 @@ def prism_resistance_base(n: int, i: int, kind: str) -> Fraction:
     if kind == "pp":
         tail = -tail
     field = (1 + xn + tail) * _over(*_split_one_plus_x_pow(n, -1)) * Qsqrt3(0, Fraction(1, 6))
-    total = field + Fraction(m * l, 2 * n)
-    if not total.is_rational:
-        raise ArithmeticError(f"sqrt(3) component failed to cancel for n={n}, i={i}, {kind}")
-    return total.as_rational()
+    return (field + Fraction(m * l, 2 * n)).as_rational()
 
 
 def _float_base(n: int, i: int, kind: str) -> float:
@@ -138,11 +134,15 @@ def _ratio(n: int, u: int, a: int) -> tuple[int, int]:
     return u, 3 * a
 
 
-if sys.version_info >= (3, 12):
-    _coprime_fraction = Fraction._from_coprime_ints
-else:
-    def _coprime_fraction(num: int, den: int) -> Fraction:
-        return Fraction(num, den, _normalize=False)
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """num/den for coprime num and den > 0, built with no gcd.
+
+    Fraction's own slots are set directly, as Python 3.12's private
+    Fraction._from_coprime_ints does.
+    """
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = num, den
+    return value
 
 
 def _lowest_terms(num: int, den: int, m: int) -> Fraction:
@@ -151,8 +151,7 @@ def _lowest_terms(num: int, den: int, m: int) -> Fraction:
     Each pass divides out g = gcd(num, den, m), taken on the residues mod m
     in time linear in the size of num and den, until g = 1.  Then no prime
     divides both, for it would divide g, and the Fraction is built without a
-    gcd of its own, by the constructor for coprime ints: private, so chosen
-    by Python version.
+    gcd of its own (_coprime_fraction).
     """
     while (g := math.gcd(num % m, den % m, m)) > 1:
         num, den = num // g, den // g
@@ -257,10 +256,7 @@ def prism_pair_sum(n: int, i: int) -> Fraction:
     """
     _check_args(n, i, "pp")
     core = Qsqrt3(0, Fraction(1, 3)) * (2 * _over(*_split_one_plus_x_pow(n, -1)) - 1)
-    total = core + Fraction((n - i + 1) * (i - 1), n)
-    if not total.is_rational:
-        raise ArithmeticError(f"sqrt(3) component failed to cancel for pair sum n={n}, i={i}")
-    return total.as_rational()
+    return (core + Fraction((n - i + 1) * (i - 1), n)).as_rational()
 
 
 def prism_resistance_via_reduction(n: int, i: int, kind: str) -> Fraction:
@@ -296,7 +292,7 @@ def prism_resistance_via_reduction(n: int, i: int, kind: str) -> Fraction:
     outer = n - i
     branch = "side_rung" if kind == "pp" else "rung_diag"
     if kind == "pq" and not outer:  # the outer arc is an open circuit
-        par_field = ladder_branch(i, branch)
+        par_field = _over(*_branch_parts(i, branch)[:3])
     else:
         a_in, c_in, t_in, w_in = _branch_parts(i, branch)
         a_out, c_out, t_out, w_out = _branch_parts(outer, branch)
@@ -307,10 +303,7 @@ def prism_resistance_via_reduction(n: int, i: int, kind: str) -> Fraction:
         if (a_in * c_out * t_out + a_out * c_in * t_in) * lift != c_n * surd:
             raise ArithmeticError(f"arc sum identity failed for n={n}, i={i}, {kind}")
         par_field = _over(a_in * a_out * lift, c_n, surd)
-    total = (par_field + Fraction((outer + 1) * (i - 1), n)) * Fraction(1, 2)
-    if not total.is_rational:
-        raise ArithmeticError(f"sqrt(3) component failed to cancel for n={n}, i={i}, {kind}")
-    return total.as_rational()
+    return ((par_field + Fraction((outer + 1) * (i - 1), n)) * Fraction(1, 2)).as_rational()
 
 
 # ---------------------------------------------------------------------------

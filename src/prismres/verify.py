@@ -59,7 +59,6 @@ def _corner_edges(delta: DeltaEdges, corners) -> list[tuple[str, str, Fraction]]
     for pairs, g in ((((pn, qn), (p1, q1)), delta.rung),
                      (((pn, p1), (qn, q1)), delta.side),
                      (((pn, q1), (qn, p1)), delta.diag)):
-        g = g.as_rational()
         if g != 0:
             edges += [(u, v, 1 / g) for u, v in pairs]
     return edges
@@ -94,12 +93,12 @@ class EightTerminalStencil(namedtuple("EightTerminalStencil", "lower upper")):
     @property
     def lower_corner_degree(self) -> Fraction:
         """Laplacian diagonal at p1, p_{i-1}, q1, q_{i-1}: one unit edge plus the lower arc."""
-        return (1 + self.lower.side + self.lower.rung + self.lower.diag).as_rational()
+        return 1 + self.lower.side + self.lower.rung + self.lower.diag
 
     @property
     def upper_corner_degree(self) -> Fraction:
         """Laplacian diagonal at p_i, p_n, q_i, q_n: one unit edge plus the upper arc."""
-        return (1 + self.upper.side + self.upper.rung + self.upper.diag).as_rational()
+        return 1 + self.upper.side + self.upper.rung + self.upper.diag
 
     def network(self) -> Network:
         """The eight-vertex network itself, with generic labels t0..t7."""
@@ -220,7 +219,7 @@ def run_checks(n_max: int = 10, tol: float = 1e-9) -> list[CheckResult]:
             for value, pair in ((rung, (f"p{n}", f"q{n}")), (side, (f"p{n}", "p1")),
                                 (diag, (f"p{n}", "q1"))):
                 expect = resistance_oracle(net, *pair)
-                if value.as_rational() != expect:
+                if value != expect:
                     raise _Counterexample(f"n={n} {pair}: {value} != oracle {expect}")
         return f"terminal resistances exact-equal for n <= {n_max}"
 

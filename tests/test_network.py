@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from prismres import network
-from prismres.exact import Qsqrt3
 from prismres.ladder import ladder_delta_edges
 from prismres.network import (
     DisconnectedNetworkError,
@@ -1182,13 +1181,14 @@ def test_stencil_corner_degrees():
     assert lap[2, 2] == stencil.upper_corner_degree
     assert lap[3, 3] == stencil.upper_corner_degree
     lo = ladder_delta_edges(4)
-    assert stencil.lower_corner_degree == (1 + lo.side + lo.rung + lo.diag).as_rational()
+    assert stencil.lower_corner_degree == 1 + lo.side + lo.rung + lo.diag
+    assert type(stencil.lower_corner_degree) is type(stencil.upper_corner_degree) is Fraction
 
 
 def test_stencil_open_diagonal_at_boundary():
     # i = 3 gives a 2-rung lower arc whose diagonal is open
     stencil = EightTerminalStencil.for_prism(8, 3)
-    assert stencil.lower.diag == Qsqrt3(0)
+    assert stencil.lower.diag == 0
     assert stencil.network().edge_count == 14  # 16 slots minus two open diagonals
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from prismres import prism as prism_module
 from prismres.exact import Qsqrt3
 from prismres.genfib import gfib, prism_spanning_tree_count
-from prismres.ladder import ladder_branch, ladder_delta_edges
+from prismres.ladder import ladder_branch, ladder_delta_edges, ladder_terminal_resistances
 from prismres.network import resistance_oracle
 from prismres.prism import (
     KINDS,
@@ -171,7 +172,7 @@ def test_field_route_does_not_call_the_integer_kernel(monkeypatch):
     monkeypatch.setattr("prismres.genfib.gfib", refuse)
     for n in (1, 2, 5, 13, 40):
         for name in ("rung_diag", "side_rung"):
-            assert type(ladder_branch(n, name)) is Qsqrt3, (n, name)
+            assert type(ladder_branch(n, name)) is Fraction, (n, name)
         if n >= 2:
             assert ladder_delta_edges(n).n == n
         for i in range(1, n + 1):
@@ -181,6 +182,26 @@ def test_field_route_does_not_call_the_integer_kernel(monkeypatch):
                 if i >= 2:
                     assert type(prism_resistance_via_reduction(n, i, kind)) is Fraction, \
                         (n, i, kind)
+
+
+@pytest.mark.parametrize("func, args", [
+    (ladder_branch, (5, "rung_diag")),
+    (ladder_terminal_resistances, (5,)),
+    (ladder_delta_edges, (5,)),
+    (prism_resistance_base, (7, 3, "pp")),
+    (prism_pair_sum, (7, 3)),
+    (prism_resistance_via_reduction, (7, 3, "pq")),
+    (prism_resistance_via_reduction, (7, 7, "pq")),  # the open outer arc
+], ids=["ladder_branch", "ladder_terminal_resistances", "ladder_delta_edges",
+        "prism_resistance_base", "prism_pair_sum", "via_reduction", "via_reduction-open-arc"])
+def test_field_route_values_leave_through_the_rationality_gate(monkeypatch, func, args):
+    # 1 + sqrt3, not sqrt3 alone: the pair sum scales _over's result by sqrt3/3,
+    # which would turn a bare sqrt3 into the rational 2
+    module = sys.modules[func.__module__]
+    over = module._over
+    monkeypatch.setattr(module, "_over", lambda *parts: over(*parts) + Qsqrt3(1, 1))
+    with pytest.raises(ValueError, match=r"sqrt\(3\)"):
+        func(*args)
 
 
 def test_integer_route_does_not_use_the_field(monkeypatch):
@@ -389,10 +410,10 @@ def test_via_reduction_boundary_is_bare():
     lhs = prism_resistance_via_reduction(10, 10, "pp")
     par_flat = 1 / (Fraction(1, 1) + Fraction(1, 9))
     b = ladder_branch(10, "side_rung")
-    par_field = b * (b + 1).conjugate() * (1 / (b + 1).norm())  # 1/(1 + 1/b), conjugate/norm
-    assert lhs == ((par_field + par_flat) * Fraction(1, 2)).as_rational()
+    par_field = b / (b + 1)  # 1/(1 + 1/b)
+    assert lhs == (par_field + par_flat) * Fraction(1, 2)
     open_outer = (ladder_branch(10, "rung_diag") + par_flat) * Fraction(1, 2)
-    assert prism_resistance_via_reduction(10, 10, "pq") == open_outer.as_rational()
+    assert prism_resistance_via_reduction(10, 10, "pq") == open_outer
 
 
 def test_via_reduction_inverts_nothing():
