@@ -221,7 +221,7 @@ _SURDS = {(0, 1): Qsqrt3._of(1, 0, 1), (0, -1): Qsqrt3._of(0, 1, 1),
           (1, 1): Qsqrt3._of(3, -1, 1), (1, -1): Qsqrt3._of(-1, 1, 1)}
 
 
-def _split_one_plus_x_pow(n: int, s: int, w: Qsqrt3 | None = None) -> tuple[Qsqrt3, int, Qsqrt3]:
+def _split_one_plus_x_pow(n: int, s: int) -> tuple[Qsqrt3, int, Qsqrt3]:
     """(x^-j, c, tau) with 1 + s x^n = x^j c tau, x = 2 - sqrt3, j = n // 2 and s = +-1.
 
     Write 1 + s x^n = x^j (x^-j + s x^(n-j)).  With x^-j = u_j + a_j sqrt3,
@@ -230,12 +230,12 @@ def _split_one_plus_x_pow(n: int, s: int, w: Qsqrt3 | None = None) -> tuple[Qsqr
     the bracket is 2 u_j (s = 1) or 2 a_j sqrt3 (s = -1), and for
     n = 2j + 1, where x^(n-j) = x^(j+1), it is (u_j + a_j)(3 - sqrt3) (s = 1)
     or (u_j + 3 a_j)(sqrt3 - 1) (s = -1): an integer c times the fixed surd
-    tau = 1, sqrt3, 3 - sqrt3 or sqrt3 - 1, from one power at half the
-    exponent, which a caller that has it passes as w.  c > 0 for n >= 1, and
-    for n = 0 with s = 1, where c = 2.
+    tau = 1, sqrt3, 3 - sqrt3 or sqrt3 - 1, from the one power x^-j at half
+    the exponent, which is returned too, so _over(*_split_one_plus_x_pow(n, s))
+    is 1/(1 + s x^n), with no gcd.  c > 0 for n >= 1.
     """
     j, odd = divmod(n, 2)
-    w = two_minus_sqrt3_pow(-j) if w is None else w
+    w = two_minus_sqrt3_pow(-j)
     u, a = w._p, w._q
     if odd:
         c = u + a if s > 0 else u + 3 * a

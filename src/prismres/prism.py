@@ -28,16 +28,14 @@ import reprlib
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import (SQRT3, TWO_PLUS_SQRT3, Qsqrt3, _over, _split_one_plus_x_pow,
-                    two_minus_sqrt3_pow)
+from .exact import SQRT3, Qsqrt3, _over, _split_one_plus_x_pow, two_minus_sqrt3_pow
 from .genfib import _check_n, gfib
-from .ladder import _branch_parts
+from .ladder import ladder_branch
 
 KINDS = ("pp", "pq")
 MODES = ("exact", "float")
 
 _VERTEX_RE = re.compile(r"([pq])([1-9][0-9]*)")
-_TWO_SQRT3 = Qsqrt3(0, 2)
 
 
 class PrismVertex(namedtuple("PrismVertex", "ring pos")):
@@ -252,7 +250,10 @@ def prism_pair_sum(n: int, i: int) -> Fraction:
 
     Exact closed form sqrt3/3 * (1 + x^n)/(1 - x^n) + (n-i+1)(i-1)/n with
     x = 2 - sqrt3, certified rational.  The ratio is 2/(1 - x^n) - 1, with
-    1/(1 - x^n) from _split_one_plus_x_pow and _over, with no gcd.
+    1/(1 - x^n) from _split_one_plus_x_pow and _over, with no gcd.  The gate
+    catches an error in 1/(1 - x^n) that is rational, but not one that is a
+    rational multiple of sqrt3, which the factor sqrt3/3 turns rational; such
+    a slip is caught only by checking the pair sum against the base form.
     """
     _check_args(n, i, "pp")
     core = Qsqrt3(0, Fraction(1, 3)) * (2 * _over(*_split_one_plus_x_pow(n, -1)) - 1)
@@ -265,45 +266,36 @@ def prism_resistance_via_reduction(n: int, i: int, kind: str) -> Fraction:
     Cutting the prism at the two target rungs splits it into an arc of i - 1
     rungs and an arc of n - i + 1 rungs; each contributes one parallel branch
     between the targets.  The flat parts of the two branches are paths, which
-    combine to (n - i + 1)(i - 1)/n.  The field part of each is one
-    ladder_branch, side_rung (s = 1) for same-ring targets and rung_diag
-    (s = -1) for cross-ring ones: R_i of the i-rung ladder, and R_o = 2 + that
-    of the o-rung ladder, o = n - i.  With x = 2 - sqrt3, each arc is
-    R_k = -1 - sqrt3 + 2 sqrt3/(1 + s x^k), so
+    combine to flat/n, flat = (n - i + 1)(i - 1).  The field part of each is
+    one ladder_branch, side_rung for same-ring targets and rung_diag for
+    cross-ring ones: R_i = a/b of the i-rung ladder, and R_o = c/d = 2 + that
+    of the o-rung ladder, o = n - i.  Each leaves the field as a certified
+    Fraction, and the composition is plain rational arithmetic: with
+    den = a d + b c, the parallel sum R_i R_o/(R_i + R_o) is a c/den, and
 
-        R_i + R_o = 2 sqrt3 (1 - x^n) / ((1 + s x^i)(1 + s x^o)).
+        r = (a c n + flat den) / (2 n den).
 
-    Each arc is A_k/(c_k tau_k) (ladder._branch_parts), with
-    1 + s x^k = x^(k//2) c_k tau_k, and 1 - x^n = x^(n//2) c_n tau_n
-    (exact._split_one_plus_x_pow), where x^-(n//2) = x^-(i//2) x^-(o//2) x^-delta
-    is one product of the arcs' powers.  So the parallel sum R_i R_o/(R_i + R_o)
-    is A_i A_o x^-delta / (2 sqrt3 c_n tau_n), delta = n//2 - i//2 - o//2 in
-    {0, 1}: no inversion, and c_i c_o cancels as an integer.  The identity
-    behind it, A_i c_o tau_o + A_o c_i tau_i = 2 sqrt3 x^delta c_n tau_n, is
-    checked on every call.  At i = n the outer arc is a bare unit path for
-    same-ring targets, R_o = 1, which the branch form gives at o = 0 (side_rung
-    is -1 there), and an open circuit for cross-ring ones, which leaves R_i.
-    Neither the arcs nor the sum touch the integer kernel, and the sqrt(3)
-    component is certified to cancel before the result is returned.
+    At i = n the outer arc is a bare unit path for same-ring targets,
+    R_o = 1, and an open circuit for cross-ring ones, R_o = 1/0, which leaves
+    R_i.  Neither the arcs nor the sum touch the integer kernel.
+
+        >>> prism_resistance_via_reduction(4, 3, "pq")
+        Fraction(5, 6)
     """
     _check_args(n, i, kind)
     if i < 2:
         raise ValueError(f"the reduction route needs 2 <= i <= n, got i={i}")
     outer = n - i
     branch = "side_rung" if kind == "pp" else "rung_diag"
-    if kind == "pq" and not outer:  # the outer arc is an open circuit
-        par_field = _over(*_branch_parts(i, branch)[:3])
-    else:
-        a_in, c_in, t_in, w_in = _branch_parts(i, branch)
-        a_out, c_out, t_out, w_out = _branch_parts(outer, branch)
-        a_out += 2 * c_out * t_out
-        lift = TWO_PLUS_SQRT3 if n // 2 > i // 2 + outer // 2 else 1  # x^-delta
-        _, c_n, t_n = _split_one_plus_x_pow(n, -1, w_in * w_out * lift)
-        surd = _TWO_SQRT3 * t_n
-        if (a_in * c_out * t_out + a_out * c_in * t_in) * lift != c_n * surd:
-            raise ArithmeticError(f"arc sum identity failed for n={n}, i={i}, {kind}")
-        par_field = _over(a_in * a_out * lift, c_n, surd)
-    return ((par_field + Fraction((outer + 1) * (i - 1), n)) * Fraction(1, 2)).as_rational()
+    r_in = ladder_branch(i, branch)
+    if outer:
+        r_out = 2 + ladder_branch(outer, branch)
+        c, d = r_out.numerator, r_out.denominator
+    else:  # a bare unit path, or an open circuit
+        c, d = (1, 1) if kind == "pp" else (1, 0)
+    a, b = r_in.numerator, r_in.denominator
+    den = a * d + b * c
+    return Fraction(a * c * n + (outer + 1) * (i - 1) * den, 2 * n * den)
 
 
 # ---------------------------------------------------------------------------

@@ -106,27 +106,14 @@ def test_delta_edges_small_values():
 
 
 def test_delta_edges_reassemble_params():
-    # conductances recombine into the pairwise parallel values
-    for n in range(2, 41):
+    # conductances recombine into the pairwise parallel values; these three
+    # relations fix the three conductances uniquely
+    for n in [*range(2, 301), 1999, 2000, 2001]:
         rung_diag, side_rung = _branches(n)
         d = ladder_delta_edges(n)
         assert rung_diag * (d.rung + d.diag) == 1
         assert side_rung * (d.side + d.rung) == 1
         assert (n - 1) * (d.side + d.diag) == 1
-
-
-def test_delta_edges_invert_nothing():
-    def old_delta_edges(n):  # each branch inverted
-        inv_rd, inv_sr = (1 / z for z in (ladder_branch(n, "rung_diag"), ladder_branch(n, "side_rung")))
-        inv_sd = Fraction(1, n - 1)
-        half = Fraction(1, 2)
-        return ((inv_sr + inv_sd - inv_rd) * half, (inv_rd + inv_sr - inv_sd) * half,
-                (inv_rd + inv_sd - inv_sr) * half)
-
-    want = {n: old_delta_edges(n) for n in range(2, 301)}
-    for n, edges in want.items():
-        d = ladder_delta_edges(n)
-        assert (d.side, d.rung, d.diag) == edges, n
 
 
 def test_delta_edges_are_physical():

@@ -184,20 +184,21 @@ def test_field_route_does_not_call_the_integer_kernel(monkeypatch):
                         (n, i, kind)
 
 
-@pytest.mark.parametrize("func, args", [
-    (ladder_branch, (5, "rung_diag")),
-    (ladder_terminal_resistances, (5,)),
-    (ladder_delta_edges, (5,)),
-    (prism_resistance_base, (7, 3, "pp")),
-    (prism_pair_sum, (7, 3)),
-    (prism_resistance_via_reduction, (7, 3, "pq")),
-    (prism_resistance_via_reduction, (7, 7, "pq")),  # the open outer arc
+@pytest.mark.parametrize("func, args, divider", [
+    (ladder_branch, (5, "rung_diag"), "ladder"),
+    (ladder_terminal_resistances, (5,), "ladder"),
+    (ladder_delta_edges, (5,), "ladder"),
+    (prism_resistance_base, (7, 3, "pp"), "prism"),
+    (prism_pair_sum, (7, 3), "prism"),
+    # the composition divides only inside ladder_branch
+    (prism_resistance_via_reduction, (7, 3, "pq"), "ladder"),
+    (prism_resistance_via_reduction, (7, 7, "pq"), "ladder"),  # the open outer arc
 ], ids=["ladder_branch", "ladder_terminal_resistances", "ladder_delta_edges",
         "prism_resistance_base", "prism_pair_sum", "via_reduction", "via_reduction-open-arc"])
-def test_field_route_values_leave_through_the_rationality_gate(monkeypatch, func, args):
+def test_field_route_values_leave_through_the_rationality_gate(monkeypatch, func, args, divider):
     # 1 + sqrt3, not sqrt3 alone: the pair sum scales _over's result by sqrt3/3,
     # which would turn a bare sqrt3 into the rational 2
-    module = sys.modules[func.__module__]
+    module = sys.modules[f"prismres.{divider}"]
     over = module._over
     monkeypatch.setattr(module, "_over", lambda *parts: over(*parts) + Qsqrt3(1, 1))
     with pytest.raises(ValueError, match=r"sqrt\(3\)"):
@@ -423,19 +424,23 @@ def test_via_reduction_inverts_nothing():
         assert prism_resistance_via_reduction(*case) == want[case], case
 
 
-@pytest.mark.parametrize("n, i, kind", [(2, 2, "pp"), (7, 3, "pp"), (8, 3, "pq"),
-                                        (9, 9, "pp"), (40, 21, "pq")])
-def test_via_reduction_certifies_the_arc_sum(monkeypatch, n, i, kind):
-    # one unit off the outer arc's numerator breaks the identity the sum rests on
-    parts = prism_module._branch_parts
+def test_via_reduction_composes_ladder_branches(monkeypatch):
+    # one branch per arc; at i = n the outer arc is a bare path or open, with no branch
+    calls = []
 
-    def corrupt(k, name):
-        a, *rest = parts(k, name)
-        return (a + 1 if k == n - i else a), *rest
+    def record(k, name):
+        calls.append((k, name))
+        return ladder_branch(k, name)
 
-    monkeypatch.setattr(prism_module, "_branch_parts", corrupt)
-    with pytest.raises(ArithmeticError, match="arc sum identity"):
-        prism_resistance_via_reduction(n, i, kind)
+    monkeypatch.setattr(prism_module, "ladder_branch", record)
+    for n, i, kind in [(2, 2, "pp"), (2, 2, "pq"), (7, 3, "pp"), (8, 3, "pq"),
+                       (9, 9, "pp"), (9, 9, "pq"), (40, 21, "pq"), (40, 39, "pp")]:
+        branch = "side_rung" if kind == "pp" else "rung_diag"
+        calls.clear()
+        value = prism_resistance_via_reduction(n, i, kind)
+        assert value == prism_resistance(n, "p1", f"{kind[1]}{i}"), (n, i, kind)
+        assert calls == ([(i, branch), (n - i, branch)] if i < n else [(n, branch)]), \
+            (n, i, kind)
 
 
 def test_via_reduction_matches_base():
